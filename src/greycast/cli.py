@@ -1,10 +1,10 @@
 """Command-line surface: fit, forecast, evaluate, sweep, reproduce.
 
 Exit codes: 0 success, 1 reproduction failure, 2 input error (bad CSV,
-bad model file, bad grid bounds), 3 modelling error (singular design,
-out-of-range development coefficient, order conflicts, too few
-samples).  Floating output is printed at 4 decimals; JSON and CSV
-artifacts keep full precision.
+bad model file, bad grid bounds, a file that cannot be read or
+written), 3 modelling error (singular design, out-of-range development
+coefficient, order conflicts, too few samples).  Floating output is
+printed at 4 decimals; JSON and CSV artifacts keep full precision.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _order_arg(text: str):
         ) from None
 
 
-def _fail(exc: GreycastError, code: int) -> int:
+def _fail(exc: Exception, code: int) -> int:
     print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     return code
 
@@ -126,7 +126,10 @@ def cmd_fit(args) -> int:
         print(f"{label:>8}  {obs:>12.4f}  {got:>12.4f}")
     _print_report(insample, "in-sample metrics (training window):")
     if args.out:
-        model.save(args.out)
+        try:
+            model.save(args.out)
+        except OSError as exc:
+            return _fail(exc, EXIT_INPUT)
         print(f"model written to {args.out}")
     return EXIT_OK
 
@@ -134,17 +137,20 @@ def cmd_fit(args) -> int:
 def cmd_forecast(args) -> int:
     try:
         model = FittedModel.load(args.model)
-    except GreycastError as exc:
+    except (GreycastError, OSError) as exc:
         return _fail(exc, EXIT_INPUT)
     if args.horizon < 0:
         print("error: --horizon must be >= 0", file=sys.stderr)
         return EXIT_INPUT
     restored = predict(model, args.horizon)
     labels = _extended_labels(model.labels, args.horizon)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("period,predicted\n")
-        for label, value in zip(labels, restored):
-            fh.write(f"{label},{float(value)!r}\n")
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write("period,predicted\n")
+            for label, value in zip(labels, restored):
+                fh.write(f"{label},{float(value)!r}\n")
+    except OSError as exc:
+        return _fail(exc, EXIT_INPUT)
     print(
         f"wrote {args.out} ({len(labels)} periods, {labels[0]}..{labels[-1]}, "
         f"horizon {args.horizon})"
@@ -206,7 +212,10 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     cells = run_sweep(config)
-    write_sweep_csv(cells, args.out)
+    try:
+        write_sweep_csv(cells, args.out)
+    except OSError as exc:
+        return _fail(exc, EXIT_INPUT)
     summary = sweep_summary(cells)
     print(
         f"wrote {args.out} ({summary['cells']} cells, "

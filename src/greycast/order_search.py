@@ -11,6 +11,25 @@ whole provided series (RMSPE over all n points, fitted on the first
 nu).  That matches how the published reference orders were evidently
 chosen; pass ``objective="rmspepr"`` to restrict scoring to the
 training window instead.
+
+The scan runs in two stages.  A numpy kernel first scores every grid
+order at once, in chunks along a batch axis: the same accumulate,
+design, pivoted solve, transform, response, restore and RMSPE steps as
+:func:`~greycast.models.fit`, :func:`~greycast.models.predict` and
+:func:`~greycast.metrics.evaluate`, with the same failure rules.  The
+kernel uses elementwise operations only and sums in index order, so an
+order's score depends on that order alone, never on the chunk it falls
+in or on the grid around it.  Its sums run in a different order from
+the scalar pipeline's, so the two agree only to roundoff, which the
+response's b/a and c/a terms amplify where a nears 0.  The
+:data:`RESCORE` best kernel candidates are then scored again through
+``fit``/``predict``/``evaluate``; those values replace the kernel's in
+the profile, and the smallest of them is the result, ties going to the
+smaller order.  The returned objective is therefore always exactly what
+the public functions give at the returned order.  On a plateau where
+every order ties at roundoff (a flat series under ``fagmo``, say), which
+order wins is decided by roundoff and may differ from a
+candidate-by-candidate scalar scan.
 """
 
 from __future__ import annotations
@@ -20,13 +39,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GreycastError, NoFeasibleOrder
+from .errors import GreycastError, NoFeasibleOrder, TooFewSamples
 from .metrics import evaluate
-from .models import ModelVariant, fit, predict
+from .models import REL_PIVOT_TOL, ModelVariant, fit, predict
 
 __all__ = ["OrderSearchConfig", "OrderSearchResult", "search_order"]
 
 OBJECTIVES = ("rmspe", "rmspepr")
+
+#: Number of best kernel candidates scored again through the scalar
+#: pipeline; the result is the best of them.
+RESCORE = 32
+
+#: Elements per (series length x orders) working array of the kernel.
+#: Bounds how many orders one chunk scores, and with it the kernel's memory.
+CHUNK_ELEMENTS = 1 << 14
 
 
 @dataclass
@@ -60,64 +87,219 @@ class OrderSearchResult:
     n_failed: int
 
 
-def _grid(cfg: OrderSearchConfig):
+def _grid(cfg: OrderSearchConfig) -> np.ndarray:
     # Index-based so that halving the step yields a bitwise superset grid.
     count = int(math.floor((cfg.r_max - cfg.r_min) / cfg.step + 1e-9)) + 1
-    for i in range(count):
-        yield cfg.r_min + i * cfg.step
+    return cfg.r_min + np.arange(count) * cfg.step
+
+
+def _sum0(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis in index order.
+
+    Spelled out so that each output element is always added up the same
+    way, whatever the shape or memory layout of the batch it sits in;
+    numpy's own reductions may regroup terms (pairwise summation).
+    """
+    out = a[0].copy()
+    for row in a[1:]:
+        out += row
+    return out
+
+
+def _convolve(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Truncated convolution of each column of ``kernel`` with ``x``.
+
+    ``kernel`` is (n, B) and ``x`` is (n, 1) or (n, B); lag-wise shifted
+    multiply-adds, the batched form of accumulate/inverse_accumulate.
+    """
+    n = kernel.shape[0]
+    out = np.zeros(kernel.shape)
+    for lag in range(n):
+        out[lag:] += kernel[lag] * x[: n - lag]
+    return out
+
+
+def _kernels(r: np.ndarray, n: int, forward: bool) -> np.ndarray:
+    """Forward or inverse accumulation weights, lags 0..n-1, one column per order."""
+    i = np.arange(1, n, dtype=float)[:, None]
+    factors = np.empty((n, r.size))
+    factors[0] = 1.0
+    factors[1:] = (r + i - 1) / i if forward else (i - 1 - r) / i
+    return np.cumprod(factors, axis=0)
+
+
+def _solve_batch(G: np.ndarray, h: np.ndarray):
+    """Batched ``_solve_pivoted``: G is (m, m, B), h is (m, B).
+
+    Returns the solutions (m, B) and a mask of the columns whose system
+    is singular under the same REL_PIVOT_TOL rule; those hold garbage.
+    """
+    m, _, batch = G.shape
+    cols = np.arange(batch)
+    scale = np.abs(G).max(axis=(0, 1))  # exact: max does not round
+    failed = scale == 0.0
+    for col in range(m):
+        p = col + np.argmax(np.abs(G[col:, col]), axis=0)
+        failed |= np.abs(G[p, col, cols]) < REL_PIVOT_TOL * scale
+        g_col, g_p = G[col].copy(), G[p, :, cols].T
+        G[p, :, cols] = g_col.T
+        G[col] = g_p
+        h_col, h_p = h[col].copy(), h[p, cols]
+        h[p, cols] = h_col
+        h[col] = h_p
+        for row in range(col + 1, m):
+            f = G[row, col] / G[col, col]
+            G[row, col:] -= f * G[col, col:]
+            h[row] -= f * h[col]
+    out = np.empty((m, batch))
+    for row in range(m - 1, -1, -1):
+        acc = np.zeros(batch)
+        for j in range(row + 1, m):
+            acc += G[row, j] * out[j]
+        out[row] = (h[row] - acc) / G[row, row]
+    return out, failed
+
+
+def _fit_chunk(x, r, variant: ModelVariant, nu: int):
+    """Batched ``fit``: active parameters (p, q, g) of every order in ``r``
+    (B,) and a mask of the orders whose fit fails."""
+    # accumulate -> build_design, every column scaled to unit max
+    xr = _convolve(_kernels(r, nu, forward=True), x[:nu, None])
+    z = 0.5 * (xr[:-1] + xr[1:])
+    d = xr[1:] - xr[:-1]
+    z_scale = np.abs(z).max(axis=0)
+    z_scale[z_scale == 0] = 1.0
+    drift = (2 * np.arange(2, nu + 1, dtype=float) - 1) / 2.0
+    col_scale = [z_scale]
+    if not variant.zero_slope:
+        col_scale.append(drift.max())
+    if not variant.zero_intercept:
+        col_scale.append(1.0)
+    m = len(col_scale)
+    S = np.empty((nu - 1, m, r.size))
+    S[:, 0] = -z / z_scale
+    if not variant.zero_slope:
+        S[:, 1] = (drift / drift.max())[:, None]
+    if not variant.zero_intercept:
+        S[:, -1] = 1.0
+    # solve_least_squares: normal equations summed row by row
+    G = np.zeros((m, m, r.size))
+    h = np.zeros((m, r.size))
+    for row, d_row in zip(S, d):
+        G += row[:, None] * row[None, :]
+        h += row * d_row
+    phi, failed = _solve_batch(G, h)
+    for j, scale in enumerate(col_scale):
+        phi[j] /= scale
+    a = phi[0]
+    b = 0.0 if variant.zero_slope else phi[1]
+    c = 0.0 if variant.zero_intercept else phi[-1]
+    # optimize_params
+    if variant.optimized:
+        failed |= (a == 0) | (np.abs(a) >= 2)
+        alpha = np.log((2 + a) / (2 - a))
+        beta = b / a * alpha
+        gamma = alpha * c / a - alpha * b / (2 * a) + beta / alpha + beta / 2 - beta / a
+        p, q, g = alpha, beta, gamma
+    else:
+        p, q, g = a, b, c
+    if variant.order_locked:
+        failed |= r != 1.0
+    return p, q, g, failed
+
+
+def _score_chunk(x, r, variant: ModelVariant, nu: int, objective: str) -> np.ndarray:
+    """Objective of every order in ``r`` (B,) on series ``x``; NaN where the fit fails."""
+    n = x.size
+    p, q, g, failed = _fit_chunk(x, r, variant, nu)
+    # time_response -> predict
+    kk = np.arange(1, n + 1, dtype=float)[:, None]
+    const = x[0] - q / p + q / p**2 - g / p
+    xr_hat = const * np.exp(-p * (kk - 1)) + q / p * kk - q / p**2 + g / p
+    xr_hat[0] = x[0]
+    restored = _convolve(_kernels(r, n, forward=False), xr_hat)
+    # evaluate
+    rel = (restored - x[:, None]) / x[:, None]
+    if objective == "rmspepr":
+        rel = rel[:nu]
+    out = np.sqrt(_sum0(rel**2) / rel.shape[0]) * 100.0
+    out[failed | ~np.isfinite(out)] = np.nan
+    return out
+
+
+def _score_grid(values, rs, variant: ModelVariant, nu: int, objective: str) -> np.ndarray:
+    """Kernel objective of every order in ``rs``, NaN where the fit fails."""
+    if np.any(values == 0):  # evaluate raises ZeroObserved at every order
+        return np.full(rs.size, np.nan)
+    rows = max(1, CHUNK_ELEMENTS // values.size)
+    with np.errstate(all="ignore"):
+        return np.concatenate(
+            [
+                _score_chunk(values, rs[i : i + rows], variant, nu, objective)
+                for i in range(0, rs.size, rows)
+            ]
+        )
+
+
+def _scalar_objective(values, r: float, cfg: OrderSearchConfig, nu: int) -> float:
+    try:
+        model = fit(values, r, cfg.variant, nu)
+        report = evaluate(values, predict(model, 0), nu)
+    except GreycastError:
+        return math.nan
+    val = report.rmspe if cfg.objective == "rmspe" else report.rmspepr
+    return val if math.isfinite(val) else math.nan
 
 
 def search_order(values, config: OrderSearchConfig | None = None, profile_path=None):
     """Scan the order grid and return the best candidate.
 
     Writes the full (r, objective, status) profile as CSV when
-    ``profile_path`` is given.  Raises NoFeasibleOrder when every grid
-    point fails.
+    ``profile_path`` is given.  Raises TooFewSamples when the training
+    window ``nu`` is below 4 or longer than the series, and
+    NoFeasibleOrder when every grid point fails.
     """
     cfg = config if config is not None else OrderSearchConfig()
     cfg.validate()
     values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("expected a nonempty 1-d series")
     nu = values.size if cfg.nu is None else int(cfg.nu)
+    if nu < 4:
+        raise TooFewSamples(f"need at least 4 training samples, got nu={nu}")
+    if nu > values.size:
+        raise TooFewSamples(f"series has {values.size} samples, cannot train on nu={nu}")
 
-    best_r = None
-    best_val = math.inf
-    n_candidates = 0
-    n_failed = 0
-    profile: list[tuple[float, float, str]] = []
+    rs = _grid(cfg)
+    scores = _score_grid(values, rs, cfg.variant, nu, cfg.objective)
+    ok = np.flatnonzero(~np.isnan(scores))
+    ranked = ok[np.argsort(scores[ok], kind="stable")]
 
+    best = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for r in _grid(cfg):
-            n_candidates += 1
-            try:
-                model = fit(values, r, cfg.variant, nu)
-                restored = predict(model, 0)
-                report = evaluate(values, restored, nu)
-                val = report.rmspe if cfg.objective == "rmspe" else report.rmspepr
-            except GreycastError:
-                val = math.nan
-            if not math.isfinite(val):
-                n_failed += 1
-                profile.append((r, math.nan, "error"))
-                continue
-            profile.append((r, val, "ok"))
-            if val < best_val:  # strict: ties keep the smaller r
-                best_val = val
-                best_r = r
+        for done, i in enumerate(ranked.tolist()):
+            if done >= RESCORE and best is not None:
+                break
+            scores[i] = _scalar_objective(values, float(rs[i]), cfg, nu)
+            if not math.isnan(scores[i]) and (
+                best is None or (scores[i], i) < (scores[best], best)
+            ):
+                best = i
 
     if profile_path is not None:
         with open(profile_path, "w", encoding="utf-8", newline="") as fh:
             fh.write("r,objective,status\n")
-            for r, val, status in profile:
-                fh.write(f"{r!r},{val!r},{status}\n")
+            for r, val in zip(rs.tolist(), scores.tolist()):
+                fh.write(f"{r!r},{val!r},{'error' if math.isnan(val) else 'ok'}\n")
 
-    if best_r is None:
+    if best is None:
         raise NoFeasibleOrder(
             f"no order in [{cfg.r_min}, {cfg.r_max}] produced a valid fit"
         )
     return OrderSearchResult(
-        r=best_r,
-        objective_value=best_val,
+        r=float(rs[best]),
+        objective_value=float(scores[best]),
         objective=cfg.objective,
-        n_candidates=n_candidates,
-        n_failed=n_failed,
+        n_candidates=int(rs.size),
+        n_failed=int(np.isnan(scores).sum()),
     )

@@ -102,6 +102,23 @@ class TestFit:
         )
         assert code == 3
 
+    def test_auto_order_with_window_past_the_series_exits_3(self, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("period,value\n1,1\n2,2\n3,3\n4,4\n5,5\n")
+        code, _, stderr = run(
+            ["fit", str(short), "--order", "auto", "--train", "9"], capsys
+        )
+        assert code == 3
+        assert "TooFewSamples" in stderr
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "model.json"
+        code, _, stderr = run(
+            ["fit", NUCLEAR, "--order", "1.1595", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert "error: FileNotFoundError" in stderr
+
     def test_bad_order_string_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fit", NUCLEAR, "--order", "fast"])
@@ -180,6 +197,24 @@ class TestForecast:
         assert "ModelFileError" in stderr
 
 
+    def test_missing_model_file_exits_2(self, tmp_path, capsys):
+        code, _, stderr = run(
+            ["forecast", "--model", str(tmp_path / "missing.json"),
+             "--out", str(tmp_path / "f.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert "error: FileNotFoundError" in stderr
+
+    def test_unwritable_out_exits_2(self, nuclear_model, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "f.csv"
+        code, _, stderr = run(
+            ["forecast", "--model", str(nuclear_model), "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert "error: FileNotFoundError" in stderr
+
+
 class TestEvaluate:
     def test_nuclear_reference_metrics_in_json(self, capsys):
         code, stdout, _ = run(
@@ -248,6 +283,15 @@ class TestSweep:
         )
         assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "s.csv"
+        code, _, stderr = run(
+            ["sweep", "--r-steps", "2", "--alpha-steps", "2", "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert "error: FileNotFoundError" in stderr
 
     def test_invalid_grid_exits_2(self, tmp_path, capsys):
         code, _, stderr = run(
