@@ -6,90 +6,25 @@ transforms, the usual percentage-error criteria, order selection by
 grid search, and a stochastic parameter-recovery sweep.
 """
 
-from . import errors
-from .accumulation import (
-    accumulate,
-    ago_matrix,
-    frac_binomial,
-    forward_coeffs,
-    iago_matrix,
-    inv_binomial,
-    inverse_accumulate,
-    inverse_coeffs,
-    write_matrix_csv,
-)
-from .datasets import BUNDLED_DATASETS, Series, load_bundled, parse_dataset
-from .metrics import EvaluationReport, evaluate, relative_errors
-from .models import (
-    BaseParams,
-    FittedModel,
-    ModelVariant,
-    OptParams,
-    alpha_gap,
-    build_design,
-    discretization_gap,
-    fit,
-    optimize_params,
-    predict,
-    solve_least_squares,
-    time_response,
-)
-from .order_search import OrderSearchConfig, OrderSearchResult, search_order
-from .reference import CASES, CellCheck, run_case
-from .sweep import (
-    SweepCell,
-    SweepConfig,
-    eps_params,
-    generate_synthetic,
-    run_sweep,
-    sweep_summary,
-    write_sweep_csv,
-)
+from . import accumulation, datasets, errors, metrics, models, order_search, reference, sweep
+from .accumulation import *  # noqa: F403
+from .datasets import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .models import *  # noqa: F403
+from .order_search import *  # noqa: F403
+from .reference import *  # noqa: F403
+from .sweep import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "accumulate",
-    "ago_matrix",
-    "frac_binomial",
-    "forward_coeffs",
-    "iago_matrix",
-    "inv_binomial",
-    "inverse_accumulate",
-    "inverse_coeffs",
-    "write_matrix_csv",
-    "BUNDLED_DATASETS",
-    "Series",
-    "load_bundled",
-    "parse_dataset",
-    "EvaluationReport",
-    "evaluate",
-    "relative_errors",
-    "BaseParams",
-    "FittedModel",
-    "ModelVariant",
-    "OptParams",
-    "alpha_gap",
-    "build_design",
-    "discretization_gap",
-    "fit",
-    "optimize_params",
-    "predict",
-    "solve_least_squares",
-    "time_response",
-    "OrderSearchConfig",
-    "OrderSearchResult",
-    "search_order",
-    "CASES",
-    "CellCheck",
-    "run_case",
-    "SweepCell",
-    "SweepConfig",
-    "eps_params",
-    "generate_synthetic",
-    "run_sweep",
-    "sweep_summary",
-    "write_sweep_csv",
+    *accumulation.__all__,
+    *datasets.__all__,
+    *metrics.__all__,
+    *models.__all__,
+    *order_search.__all__,
+    *reference.__all__,
+    *sweep.__all__,
     "__version__",
 ]

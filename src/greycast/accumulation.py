@@ -22,15 +22,12 @@ import math
 import numpy as np
 
 __all__ = [
-    "frac_binomial",
-    "inv_binomial",
     "forward_coeffs",
     "inverse_coeffs",
     "accumulate",
     "inverse_accumulate",
     "ago_matrix",
     "iago_matrix",
-    "write_matrix_csv",
 ]
 
 
@@ -43,13 +40,6 @@ def _check_order(r) -> float:
     return r
 
 
-def _check_lag(i) -> int:
-    i = int(i)
-    if i < 0:
-        raise ValueError(f"lag index must be >= 0, got {i}")
-    return i
-
-
 def _check_series(values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
@@ -57,39 +47,12 @@ def _check_series(values) -> np.ndarray:
     return values
 
 
-def frac_binomial(r, i) -> float:
-    """Forward accumulation weight w(i) = r(r+1)...(r+i-1)/i!.
-
-    Uses the multiplicative recurrence w(i) = w(i-1) * (r+i-1) / i, which
-    avoids factorial overflow and stays exact for w(0) = 1 and r = 1
-    (all weights 1).
-    """
-    r = _check_order(r)
-    i = _check_lag(i)
-    out = 1.0
-    for m in range(1, i + 1):
-        out *= (r + m - 1) / m
-    return out
-
-
-def inv_binomial(r, i) -> float:
-    """Inverse accumulation weight (-1)^i * C(r, i).
-
-    Computed as w(i) = w(i-1) * (i-1-r) / i.  For integer r the factor
-    hits zero at i = r + 1, so weights beyond lag r are exactly 0; for
-    non-integer r every weight is nonzero, which is required for the
-    inverse property to hold at fractional orders.
-    """
-    r = _check_order(r)
-    i = _check_lag(i)
-    out = 1.0
-    for m in range(1, i + 1):
-        out *= (m - 1 - r) / m
-    return out
-
-
 def forward_coeffs(r, n) -> np.ndarray:
-    """First ``n`` forward kernel weights, lags 0..n-1."""
+    """First ``n`` forward kernel weights, lags 0..n-1.
+
+    Built by the recurrence w(i) = w(i-1) * (r+i-1) / i, which avoids
+    factorial overflow; at r = 1 every weight is exactly 1.
+    """
     r = _check_order(r)
     n = int(n)
     if n < 1:
@@ -102,7 +65,12 @@ def forward_coeffs(r, n) -> np.ndarray:
 
 
 def inverse_coeffs(r, n) -> np.ndarray:
-    """First ``n`` inverse kernel weights, lags 0..n-1."""
+    """First ``n`` inverse kernel weights, lags 0..n-1.
+
+    Built by the recurrence w(i) = w(i-1) * (i-1-r) / i.  For integer r
+    the weights beyond lag r are exactly 0; for fractional r none
+    vanishes, which the inverse property needs.
+    """
     r = _check_order(r)
     n = int(n)
     if n < 1:
@@ -157,8 +125,3 @@ def iago_matrix(n, r) -> np.ndarray:
     if n < 1:
         raise ValueError(f"matrix size must be >= 1, got {n}")
     return _triangular(inverse_coeffs(r, n))
-
-
-def write_matrix_csv(matrix, path) -> None:
-    """Dump a matrix as CSV, row-major, full-precision scientific notation."""
-    np.savetxt(path, np.asarray(matrix, dtype=float), delimiter=",", fmt="%.17e")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -31,15 +32,18 @@ EXIT_MODEL = 3
 SEED_ENV_VAR = "GREYCAST_SEED"
 
 
-def _order_arg(text: str):
-    if text == "auto":
-        return "auto"
+def _positive(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"order must be a number or 'auto', got {text!r}"
-        ) from None
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+def _order_arg(text: str):
+    return "auto" if text == "auto" else _positive(text)
 
 
 def _fail(exc: Exception, code: int) -> int:
@@ -285,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--train", type=int, default=None, metavar="NU",
                    help="number of leading samples to fit on (default: all)")
-    p.add_argument("--order-step", type=float, default=0.0001,
+    p.add_argument("--order-step", type=_positive, default=0.0001,
                    help="grid resolution for --order auto")
     p.add_argument("--out", default=None, help="path for the model JSON")
     p.set_defaults(func=cmd_fit)
@@ -301,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=variants, default="fagmo")
     p.add_argument("--order", type=_order_arg, default=1.0)
     p.add_argument("--train", type=int, default=None, metavar="NU")
-    p.add_argument("--order-step", type=float, default=0.0001,
+    p.add_argument("--order-step", type=_positive, default=0.0001,
                    help="grid resolution for --order auto")
     p.set_defaults(func=cmd_evaluate)
 

@@ -45,25 +45,6 @@ class EvaluationReport:
             "n": self.n,
         }
 
-    def csv_rows(self) -> list[tuple[str, float | None]]:
-        """One (metric, value) row per metric, for delimited export."""
-        return [
-            ("rmspepr_pct", self.rmspepr),
-            ("rmspepo_pct", self.rmspepo),
-            ("rmspe_pct", self.rmspe),
-            ("ia", self.ia),
-            ("ae", self.ae),
-            ("mae", self.mae),
-            ("nu", self.nu),
-            ("n", self.n),
-        ]
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("metric,value\n")
-            for name, value in self.csv_rows():
-                fh.write(f"{name},{'' if value is None else repr(float(value))}\n")
-
 
 def _check_pair(observed, predicted) -> tuple[np.ndarray, np.ndarray]:
     observed = np.asarray(observed, dtype=float)

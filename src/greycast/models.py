@@ -189,6 +189,10 @@ class FittedModel:
             labels = tuple(int(v) for v in doc["labels"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFileError(f"bad model document: {exc}") from exc
+        if not (math.isfinite(r) and r > 0):
+            raise ModelFileError(f"fractional order must be finite and > 0, got {r!r}")
+        if variant.order_locked and r != 1.0:
+            raise ModelFileError(f"{variant.value} fixes the accumulation order to 1, got r={r!r}")
         if variant.optimized and opt is None:
             raise ModelFileError("optimised variant but alpha/beta/gamma are null")
         if len(labels) != n_total:
@@ -340,19 +344,29 @@ def alpha_gap(a: float) -> float:
     return math.log((2 + a) / (2 - a)) - a
 
 
+def _response(x0, p, q, g, k):
+    """Closed-form response at float time indices ``k``, anchored to x0 at k = 1.
+
+    The single copy of the formula: :func:`time_response`, the sweep's
+    synthetic series and the order-search kernel all call it.  Parameters
+    and ``k`` broadcast, so ``k`` of shape (n, 1) against parameters of
+    shape (B,) gives one column per parameter set.
+    """
+    # Bracketed constant computed once so repeated calls agree bitwise.
+    const = x0 - q / p + q / p**2 - g / p
+    out = const * np.exp(-p * (k - 1)) + q / p * k - q / p**2 + g / p
+    return np.where(k == 1, x0, out)
+
+
 def time_response(model: FittedModel, k):
     """Accumulated-series response at time index k (1-based, scalar or array).
 
     k = 1 returns the anchored initial value exactly.
     """
-    p, q, g = model.active_params
     karr = np.asarray(k, dtype=float)
     if np.any(karr < 1):
         raise ValueError("time index must be >= 1")
-    # Bracketed constant computed once so repeated calls agree bitwise.
-    const = model.x0 - q / p + q / p**2 - g / p
-    out = const * np.exp(-p * (karr - 1)) + q / p * karr - q / p**2 + g / p
-    out = np.where(karr == 1, model.x0, out)
+    out = _response(model.x0, *model.active_params, karr)
     if np.isscalar(k) or np.ndim(k) == 0:
         return float(out)
     return out

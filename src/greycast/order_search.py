@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GreycastError, NoFeasibleOrder, TooFewSamples
-from .metrics import evaluate
-from .models import REL_PIVOT_TOL, ModelVariant, fit, predict
+from .metrics import _check_pair, evaluate
+from .models import REL_PIVOT_TOL, ModelVariant, _response, fit, predict
 
 __all__ = ["OrderSearchConfig", "OrderSearchResult", "search_order"]
 
@@ -214,9 +214,7 @@ def _score_chunk(x, r, variant: ModelVariant, nu: int, objective: str) -> np.nda
     p, q, g, failed = _fit_chunk(x, r, variant, nu)
     # time_response -> predict
     kk = np.arange(1, n + 1, dtype=float)[:, None]
-    const = x[0] - q / p + q / p**2 - g / p
-    xr_hat = const * np.exp(-p * (kk - 1)) + q / p * kk - q / p**2 + g / p
-    xr_hat[0] = x[0]
+    xr_hat = _response(x[0], p, q, g, kk)
     restored = _convolve(_kernels(r, n, forward=False), xr_hat)
     # evaluate
     rel = (restored - x[:, None]) / x[:, None]
@@ -229,8 +227,6 @@ def _score_chunk(x, r, variant: ModelVariant, nu: int, objective: str) -> np.nda
 
 def _score_grid(values, rs, variant: ModelVariant, nu: int, objective: str) -> np.ndarray:
     """Kernel objective of every order in ``rs``, NaN where the fit fails."""
-    if np.any(values == 0):  # evaluate raises ZeroObserved at every order
-        return np.full(rs.size, np.nan)
     rows = max(1, CHUNK_ELEMENTS // values.size)
     with np.errstate(all="ignore"):
         return np.concatenate(
@@ -256,7 +252,8 @@ def search_order(values, config: OrderSearchConfig | None = None, profile_path=N
 
     Writes the full (r, objective, status) profile as CSV when
     ``profile_path`` is given.  Raises TooFewSamples when the training
-    window ``nu`` is below 4 or longer than the series, and
+    window ``nu`` is below 4 or longer than the series, ZeroObserved when
+    the series holds a 0 (percentage errors are undefined), and
     NoFeasibleOrder when every grid point fails.
     """
     cfg = config if config is not None else OrderSearchConfig()
@@ -269,6 +266,7 @@ def search_order(values, config: OrderSearchConfig | None = None, profile_path=N
         raise TooFewSamples(f"need at least 4 training samples, got nu={nu}")
     if nu > values.size:
         raise TooFewSamples(f"series has {values.size} samples, cannot train on nu={nu}")
+    _check_pair(values, values)  # a 0 makes evaluate reject every order
 
     rs = _grid(cfg)
     scores = _score_grid(values, rs, cfg.variant, nu, cfg.objective)

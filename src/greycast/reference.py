@@ -27,8 +27,6 @@ from .models import ModelVariant, alpha_gap, fit, predict
 
 __all__ = ["CellCheck", "run_case", "CASES"]
 
-CASES = ("table1", "oilfield", "settlement", "nuclear")
-
 VALUE_REL_TOL = 1e-3
 PCT_TOL_TIGHT = 0.02
 PCT_TOL = 0.05
@@ -298,9 +296,9 @@ def _metric_tol(metric: str, pct_tol: float) -> float:
     return MEAN_ERR_TOL
 
 
-def _check_forecast_case(case, table, dataset, nu, columns, horizon=0,
+def _check_forecast_case(case, table, nu, columns, horizon=0,
                          relerr_table=None) -> list[CellCheck]:
-    data = load_bundled(dataset)
+    data = load_bundled(case)
     n = len(data)
     row_labels = [str(lab) for lab in data.labels]
     if horizon:
@@ -358,35 +356,19 @@ def _check_forecast_case(case, table, dataset, nu, columns, horizon=0,
     return cells
 
 
-def check_oilfield() -> list[CellCheck]:
-    return _check_forecast_case("oilfield", "table2", "oilfield", OILFIELD_NU, OILFIELD_COLUMNS)
+# case (also the bundled dataset's name) -> _check_forecast_case arguments
+_FORECAST_CASES = {
+    "oilfield": ("table2", OILFIELD_NU, OILFIELD_COLUMNS),
+    "settlement": ("table3", SETTLEMENT_NU, SETTLEMENT_COLUMNS),
+    "nuclear": ("table4", NUCLEAR_NU, NUCLEAR_COLUMNS, NUCLEAR_HORIZON, "table5"),
+}
 
-
-def check_settlement() -> list[CellCheck]:
-    return _check_forecast_case(
-        "settlement", "table3", "settlement", SETTLEMENT_NU, SETTLEMENT_COLUMNS
-    )
-
-
-def check_nuclear() -> list[CellCheck]:
-    return _check_forecast_case(
-        "nuclear",
-        "table4",
-        "nuclear",
-        NUCLEAR_NU,
-        NUCLEAR_COLUMNS,
-        horizon=NUCLEAR_HORIZON,
-        relerr_table="table5",
-    )
+CASES = ("table1", *_FORECAST_CASES)
 
 
 def run_case(name: str) -> list[CellCheck]:
     if name == "table1":
         return check_table1()
-    if name == "oilfield":
-        return check_oilfield()
-    if name == "settlement":
-        return check_settlement()
-    if name == "nuclear":
-        return check_nuclear()
-    raise ValueError(f"unknown case {name!r} (expected one of {CASES})")
+    if name not in _FORECAST_CASES:
+        raise ValueError(f"unknown case {name!r} (expected one of {CASES})")
+    return _check_forecast_case(name, *_FORECAST_CASES[name])

@@ -25,7 +25,7 @@ import numpy as np
 from .accumulation import inverse_accumulate
 from .errors import GreycastError
 from .metrics import evaluate
-from .models import ModelVariant, fit, predict
+from .models import ModelVariant, _response, fit, predict
 
 __all__ = [
     "SweepConfig",
@@ -51,10 +51,7 @@ def generate_synthetic(r, alpha, beta, gamma, x0, n) -> np.ndarray:
         raise ValueError(f"need n >= 2, got {n}")
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    ks = np.arange(1, n + 1)
-    const = x0 - beta / alpha + beta / alpha**2 - gamma / alpha
-    xr = const * np.exp(-alpha * (ks - 1)) + beta / alpha * ks - beta / alpha**2 + gamma / alpha
-    xr[0] = x0
+    xr = _response(x0, alpha, beta, gamma, np.arange(1.0, n + 1))
     return inverse_accumulate(xr, r)
 
 
@@ -74,7 +71,6 @@ class SweepConfig:
     beta_range: tuple[float, float] = (0.0, 5.0)
     gamma_range: tuple[float, float] = (0.0, 100.0)
     x0_range: tuple[float, float] = (1.0, 2.0)
-    redraw_per_cell: bool = True
 
     @classmethod
     def regular(
@@ -131,13 +127,6 @@ class SweepCell:
     status: str  # "ok" | "fit_failed"
 
 
-def _draw(rng, cfg: SweepConfig) -> tuple[float, float, float]:
-    beta = rng.uniform(*cfg.beta_range)
-    gamma = rng.uniform(*cfg.gamma_range)
-    x0 = rng.uniform(*cfg.x0_range)
-    return beta, gamma, x0
-
-
 def run_sweep(config: SweepConfig) -> list[SweepCell]:
     """Evaluate every (r, alpha) cell; failures are recorded, not fatal.
 
@@ -146,18 +135,13 @@ def run_sweep(config: SweepConfig) -> list[SweepCell]:
     """
     config.validate()
     cells: list[SweepCell] = []
-    shared_draw = None
-    if not config.redraw_per_cell:
-        shared_draw = _draw(np.random.default_rng([int(config.seed)]), config)
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i, r in enumerate(config.r_grid):
             for j, alpha in enumerate(config.alpha_grid):
-                if shared_draw is None:
-                    rng = np.random.default_rng([int(config.seed), i, j])
-                    beta, gamma, x0 = _draw(rng, config)
-                else:
-                    beta, gamma, x0 = shared_draw
+                rng = np.random.default_rng([int(config.seed), i, j])
+                beta = rng.uniform(*config.beta_range)
+                gamma = rng.uniform(*config.gamma_range)
+                x0 = rng.uniform(*config.x0_range)
                 cells.append(
                     _run_cell(float(r), float(alpha), beta, gamma, x0, config.n_points)
                 )

@@ -11,75 +11,69 @@ from greycast.accumulation import (
     accumulate,
     ago_matrix,
     forward_coeffs,
-    frac_binomial,
     iago_matrix,
-    inv_binomial,
     inverse_accumulate,
     inverse_coeffs,
-    write_matrix_csv,
 )
 
 
 class TestFracBinomial:
+    """Forward weights w(i) = r(r+1)...(r+i-1)/i! from forward_coeffs."""
+
     def test_lag_zero_is_empty_product(self):
-        assert frac_binomial(0.7, 0) == 1.0
+        assert forward_coeffs(0.7, 1)[0] == 1.0
 
     def test_order_one_weights_are_all_ones(self):
-        assert frac_binomial(1, 5) == 1.0
-        assert all(frac_binomial(1.0, i) == 1.0 for i in range(10))
+        np.testing.assert_array_equal(forward_coeffs(1, 10), np.ones(10))
 
     def test_direct_product(self):
         # oracle: 0.5 * 1.5 / 2!
-        assert frac_binomial(0.5, 2) == pytest.approx(0.375, abs=1e-15)
+        assert forward_coeffs(0.5, 3)[2] == pytest.approx(0.375, abs=1e-15)
 
     def test_matches_product_form(self):
         r = 1.37
+        weights = forward_coeffs(r, 12)
         for i in range(12):
             direct = np.prod([r + m for m in range(i)]) / math.factorial(i)
-            assert frac_binomial(r, i) == pytest.approx(direct, rel=1e-12)
+            assert weights[i] == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("bad_r", [float("nan"), float("inf"), -1.0, 0.0])
     def test_rejects_bad_order(self, bad_r):
         with pytest.raises(ValueError):
-            frac_binomial(bad_r, 2)
-
-    def test_rejects_negative_lag(self):
-        with pytest.raises(ValueError):
-            frac_binomial(0.5, -1)
+            forward_coeffs(bad_r, 3)
 
     @pytest.mark.parametrize("r, expected_sign", [(0.3, -1), (0.9, -1), (1.2, 1), (2.5, 1)])
     def test_weight_sequence_monotone_with_sign_of_r_minus_1(self, r, expected_sign):
-        for i in range(1, 40):
-            diff = frac_binomial(r, i) - frac_binomial(r, i - 1)
-            assert np.sign(diff) == expected_sign
+        assert np.all(np.sign(np.diff(forward_coeffs(r, 40))) == expected_sign)
 
     def test_weight_sequence_constant_at_order_one(self):
-        for i in range(1, 40):
-            assert frac_binomial(1.0, i) == frac_binomial(1.0, i - 1)
+        assert np.all(np.diff(forward_coeffs(1.0, 40)) == 0.0)
 
 
 class TestInvBinomial:
+    """Inverse weights (-1)^i C(r, i) from inverse_coeffs."""
+
     def test_lag_zero(self):
-        assert inv_binomial(0.5, 0) == 1.0
+        assert inverse_coeffs(0.5, 1)[0] == 1.0
 
     def test_order_one_superdiagonal(self):
-        assert inv_binomial(1, 1) == -1.0
+        assert inverse_coeffs(1, 2)[1] == -1.0
 
     def test_direct_product(self):
         # oracle: (-1)^2 * (0.5 * -0.5) / 2!
-        assert inv_binomial(0.5, 2) == pytest.approx(-0.125, abs=1e-15)
+        assert inverse_coeffs(0.5, 3)[2] == pytest.approx(-0.125, abs=1e-15)
 
     def test_integer_order_vanishes_beyond_r(self):
-        for i in range(3, 8):
-            assert inv_binomial(2, i) == 0.0
-        assert inv_binomial(2, 2) != 0.0
+        weights = inverse_coeffs(2, 8)
+        assert np.all(weights[3:] == 0.0)
+        assert weights[2] != 0.0
 
     def test_fractional_order_never_vanishes(self):
-        assert all(inv_binomial(0.4052, i) != 0.0 for i in range(30))
+        assert np.all(inverse_coeffs(0.4052, 30) != 0.0)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
-            inv_binomial(float("nan"), 1)
+            inverse_coeffs(float("nan"), 2)
 
 
 class TestConvolutionOperators:
@@ -184,9 +178,3 @@ class TestMatrices:
     def test_inverse_kernel_coeffs_match_matrix_row(self):
         m = iago_matrix(6, 0.77)
         np.testing.assert_array_equal(m[0], inverse_coeffs(0.77, 6))
-
-    def test_csv_dump_round_trips(self, tmp_path):
-        m = ago_matrix(5, 1.4127)
-        path = tmp_path / "ago.csv"
-        write_matrix_csv(m, path)
-        np.testing.assert_array_equal(np.loadtxt(path, delimiter=","), m)

@@ -120,9 +120,19 @@ class TestFit:
         assert "error: FileNotFoundError" in stderr
 
     def test_bad_order_string_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["fit", NUCLEAR, "--order", "fast"])
-        assert exc.value.code == 2
+        for order in ("fast", "-1", "0", "nan", "inf"):
+            with pytest.raises(SystemExit) as exc:
+                main(["fit", NUCLEAR, "--order", order])
+            assert exc.value.code == 2
+            assert "argument --order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_bad_order_step_exits_2(self, command, capsys):
+        for step in ("0", "-0.5", "nan"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, NUCLEAR, "--order", "auto", "--order-step", step])
+            assert exc.value.code == 2
+            assert "argument --order-step" in capsys.readouterr().err
 
 
 class TestForecast:
@@ -196,6 +206,21 @@ class TestForecast:
         assert code == 2
         assert "ModelFileError" in stderr
 
+
+    @pytest.mark.parametrize(
+        "breakage",
+        [{"r": -1}, {"r": 0}, {"r": float("nan")}, {"r": float("inf")}, {"variant": "ongm11k"}],
+    )
+    def test_hostile_model_file_exits_2(self, nuclear_model, breakage, tmp_path, capsys):
+        doc = json.loads(nuclear_model.read_text())
+        doc.update(breakage)
+        bad = tmp_path / "hostile.json"
+        bad.write_text(json.dumps(doc))
+        code, _, stderr = run(
+            ["forecast", "--model", str(bad), "--out", str(tmp_path / "f.csv")], capsys
+        )
+        assert code == 2
+        assert "error: ModelFileError" in stderr
 
     def test_missing_model_file_exits_2(self, tmp_path, capsys):
         code, _, stderr = run(

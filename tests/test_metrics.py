@@ -155,16 +155,3 @@ def test_report_serialization_carries_ratios():
     assert doc["rmspepr_ratio"] == report.rmspepr / 100
     assert doc["rmspe_ratio"] == report.rmspe / 100
     assert doc["n"] == 3 and doc["nu"] == 2
-    rows = dict(report.csv_rows())
-    assert rows["mae"] == report.mae
-
-
-def test_report_csv_export(tmp_path):
-    report = evaluate([1.0, 2.0, 4.0], [1.1, 2.2, 4.4], 3)
-    path = tmp_path / "report.csv"
-    report.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "metric,value"
-    rows = dict(line.split(",") for line in lines[1:])
-    assert float(rows["mae"]) == report.mae
-    assert rows["rmspepo_pct"] == ""  # absent without a holdout

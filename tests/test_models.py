@@ -420,6 +420,11 @@ class TestSerialization:
             {"nu": 2},
             {"labels": [1, 2]},
             {"alpha": None},  # optimised variant must carry the transform
+            {"r": -1.0},
+            {"r": 0.0},
+            {"r": float("nan")},
+            {"r": float("inf")},
+            {"variant": "ongm11k"},  # order-locked, but r = 1.1595
         ):
             doc = dict(good)
             doc.update(breakage)

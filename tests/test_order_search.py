@@ -8,7 +8,13 @@ import pytest
 
 from greycast import order_search
 from greycast.datasets import load_bundled
-from greycast.errors import GreycastError, NoFeasibleOrder, SingularDesign, TooFewSamples
+from greycast.errors import (
+    GreycastError,
+    NoFeasibleOrder,
+    SingularDesign,
+    TooFewSamples,
+    ZeroObserved,
+)
 from greycast.metrics import evaluate
 from greycast.models import ModelVariant, _solve_pivoted, fit, predict
 from greycast.order_search import OrderSearchConfig, OrderSearchResult, search_order
@@ -114,10 +120,11 @@ def test_window_outside_the_series_raises_too_few_samples(nu):
 
 def test_zero_observed_fails_every_order():
     # evaluate rejects a zero anywhere in the series, also when the
-    # objective only scores the training window
+    # objective only scores the training window, so the search names
+    # that cause up front instead of failing every order
     raw = np.append(generate_synthetic(0.7, 0.3, 1.0, 10.0, 1.5, 6), 0.0)
     cfg = OrderSearchConfig(step=0.1, nu=6, objective="rmspepr")
-    with pytest.raises(NoFeasibleOrder):
+    with pytest.raises(ZeroObserved, match="position 7"):
         search_order(raw, cfg)
 
 

@@ -112,12 +112,6 @@ class TestRunSweep:
         b = run_sweep(SweepConfig.regular(r_steps=6, alpha_steps=6, n_points=11, seed=8))
         assert any(x.eps_fagm != y.eps_fagm for x, y in zip(a, b))
 
-    def test_shared_draw_mode(self):
-        cells = run_sweep(small_config(redraw_per_cell=False))
-        assert all(c.status == "ok" for c in cells)
-        # same draw everywhere: cells in one alpha column differ only via r
-        assert cells == run_sweep(small_config(redraw_per_cell=False))
-
     def test_summary_counts(self):
         cells = run_sweep(small_config())
         summary = sweep_summary(cells)
