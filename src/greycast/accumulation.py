@@ -51,17 +51,20 @@ def forward_coeffs(r, n) -> np.ndarray:
     """First ``n`` forward kernel weights, lags 0..n-1.
 
     Built by the recurrence w(i) = w(i-1) * (r+i-1) / i, which avoids
-    factorial overflow; at r = 1 every weight is exactly 1.
+    factorial overflow; at r = 1 every weight is exactly 1.  The
+    recurrence runs on Python floats, which round exactly as float64
+    array elements do.
     """
     r = _check_order(r)
     n = int(n)
     if n < 1:
         raise ValueError(f"kernel length must be >= 1, got {n}")
-    out = np.empty(n)
-    out[0] = 1.0
+    w = 1.0
+    out = [w]
     for i in range(1, n):
-        out[i] = out[i - 1] * (r + i - 1) / i
-    return out
+        w = w * (r + i - 1) / i
+        out.append(w)
+    return np.array(out)
 
 
 def inverse_coeffs(r, n) -> np.ndarray:
@@ -75,11 +78,12 @@ def inverse_coeffs(r, n) -> np.ndarray:
     n = int(n)
     if n < 1:
         raise ValueError(f"kernel length must be >= 1, got {n}")
-    out = np.empty(n)
-    out[0] = 1.0
+    w = 1.0
+    out = [w]
     for i in range(1, n):
-        out[i] = out[i - 1] * (i - 1 - r) / i
-    return out
+        w = w * (i - 1 - r) / i
+        out.append(w)
+    return np.array(out)
 
 
 def accumulate(values, r) -> np.ndarray:

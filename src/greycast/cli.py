@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from collections import Counter
 
@@ -28,8 +27,6 @@ EXIT_OK = 0
 EXIT_REPRODUCE_FAIL = 1
 EXIT_INPUT = 2
 EXIT_MODEL = 3
-
-SEED_ENV_VAR = "GREYCAST_SEED"
 
 
 def _positive(text: str) -> float:
@@ -195,21 +192,13 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _resolve_seed(args) -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return args.seed
-
-
 def cmd_sweep(args) -> int:
     try:
-        seed = _resolve_seed(args)
         config = SweepConfig.regular(
             r_steps=args.r_steps,
             alpha_steps=args.alpha_steps,
             n_points=args.points,
-            seed=seed,
+            seed=args.seed,
         )
         config.validate()
     except ValueError as exc:
@@ -310,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="parameter-recovery sweep over (r, alpha)")
-    p.add_argument("--seed", type=int, default=0,
-                   help=f"RNG seed ({SEED_ENV_VAR} env var overrides)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--r-steps", type=int, default=100)
     p.add_argument("--alpha-steps", type=int, default=100)
     p.add_argument("--points", type=int, default=11,

@@ -63,6 +63,11 @@ def _check_pair(observed, predicted) -> tuple[np.ndarray, np.ndarray]:
     return observed, predicted
 
 
+def _rms_pct(rel: np.ndarray) -> float:
+    """Root mean square of relative errors, in percent."""
+    return float(np.sqrt(np.mean(rel**2)) * 100.0)
+
+
 def evaluate(observed, predicted, nu: int) -> EvaluationReport:
     """Compute the six criteria for a fitted/observed pairing.
 
@@ -75,9 +80,9 @@ def evaluate(observed, predicted, nu: int) -> EvaluationReport:
     if not 1 <= nu <= n:
         raise ValueError(f"nu must be in [1, {n}], got {nu}")
     rel = (predicted - observed) / observed
-    rmspepr = float(np.sqrt(np.mean(rel[:nu] ** 2)) * 100.0)
-    rmspepo = float(np.sqrt(np.mean(rel[nu:] ** 2)) * 100.0) if n > nu else None
-    rmspe = float(np.sqrt(np.mean(rel**2)) * 100.0)
+    rmspepr = _rms_pct(rel[:nu])
+    rmspepo = _rms_pct(rel[nu:]) if n > nu else None
+    rmspe = _rms_pct(rel)
     xbar = float(np.mean(observed))
     spread = np.abs(predicted - xbar) + np.abs(observed - xbar)
     ia = float(1.0 - np.sum((predicted - observed) ** 2) / np.sum(spread**2))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -123,6 +124,14 @@ class OptParams:
     gamma: float
 
 
+def _whole(value) -> int:
+    """``int(value)`` for a value that already is a whole number."""
+    out = int(value)
+    if out != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class FittedModel:
     variant: ModelVariant
@@ -170,6 +179,14 @@ class FittedModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FittedModel":
+        """Load a document written by :meth:`to_dict`.
+
+        Raises ModelFileError for any document that :func:`fit` could not
+        have produced: missing fields, non-finite parameters, a transform
+        on an unoptimised variant (or none on an optimised one), an order
+        the variant forbids, non-integer counts, or labels that do not
+        strictly increase.
+        """
         if not isinstance(doc, dict):
             raise ModelFileError("model document must be a JSON object")
         if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
@@ -184,23 +201,33 @@ class FittedModel:
             if doc.get("alpha") is not None:
                 opt = OptParams(float(doc["alpha"]), float(doc["beta"]), float(doc["gamma"]))
             x0 = float(doc["x0"])
-            nu = int(doc["nu"])
-            n_total = int(doc["n_total"])
+            nu = _whole(doc["nu"])
+            n_total = _whole(doc["n_total"])
             labels = tuple(int(v) for v in doc["labels"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFileError(f"bad model document: {exc}") from exc
         if not (math.isfinite(r) and r > 0):
             raise ModelFileError(f"fractional order must be finite and > 0, got {r!r}")
         if variant.order_locked and r != 1.0:
             raise ModelFileError(f"{variant.value} fixes the accumulation order to 1, got r={r!r}")
+        params = (base.a, base.b, base.c, x0)
+        if opt is not None:
+            params += (opt.alpha, opt.beta, opt.gamma)
+        if not all(map(math.isfinite, params)):
+            raise ModelFileError(f"parameters and x0 must be finite, got {params!r}")
         if variant.optimized and opt is None:
             raise ModelFileError("optimised variant but alpha/beta/gamma are null")
+        transform = (doc.get("alpha"), doc.get("beta"), doc.get("gamma"))
+        if not variant.optimized and transform != (None, None, None):
+            raise ModelFileError(f"{variant.value} is not optimised, but alpha/beta/gamma are set")
         if len(labels) != n_total:
             raise ModelFileError(
                 f"labels length {len(labels)} does not match n_total {n_total}"
             )
         if not (4 <= nu <= n_total):
             raise ModelFileError(f"nu {nu} outside [4, n_total={n_total}]")
+        if not all(map(operator.lt, labels, labels[1:])):
+            raise ModelFileError("labels must be strictly increasing")
         return cls(
             variant=variant,
             r=r,
@@ -262,30 +289,50 @@ def _solve_pivoted(g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
     Raises SingularDesign when the best available pivot falls below
     REL_PIVOT_TOL relative to the largest entry of the original matrix.
+
+    The pivot search, swaps and elimination run on Python floats, which
+    round exactly as numpy float64 scalars do but cost far less per
+    operation; the back-substitution keeps ``np.dot``, whose summation
+    differs from a plain Python sum in the last bit.  A NaN anywhere in
+    ``g`` spreads to every unknown, so such a system returns all NaN
+    without being eliminated.
     """
-    g = g.copy()
-    h = h.copy()
-    m = g.shape[0]
-    scale = np.max(np.abs(g))
+    a = g.tolist()
+    rhs = h.tolist()
+    m = len(rhs)
+    mags = [abs(v) for row in a for v in row]
+    if math.isnan(sum(mags)):
+        return np.full(m, math.nan)
+    scale = max(mags)
     if scale == 0.0:
         raise SingularDesign("normal equations are identically zero")
     for col in range(m):
-        p = col + int(np.argmax(np.abs(g[col:, col])))
-        if abs(g[p, col]) < REL_PIVOT_TOL * scale:
+        # First maximum wins, as with np.argmax; a NaN counts as maximal.
+        p, best = col, abs(a[col][col])
+        for row in range(col + 1, m):
+            v = abs(a[row][col])
+            if v > best or (v != v and best == best):
+                p, best = row, v
+        pivot = a[p][col]
+        # pivot == 0 passes the relative test only when the scale is subnormal
+        if best < REL_PIVOT_TOL * scale or pivot == 0.0:
             raise SingularDesign(
-                f"pivot {g[p, col]:.3e} below {REL_PIVOT_TOL:g} * {scale:.3e}; "
+                f"pivot {pivot:.3e} below {REL_PIVOT_TOL:g} * {scale:.3e}; "
                 "the data do not determine the parameters"
             )
         if p != col:
-            g[[col, p]] = g[[p, col]]
-            h[[col, p]] = h[[p, col]]
+            a[col], a[p] = a[p], a[col]
+            rhs[col], rhs[p] = rhs[p], rhs[col]
+        top = a[col]
         for row in range(col + 1, m):
-            f = g[row, col] / g[col, col]
-            g[row, col:] -= f * g[col, col:]
-            h[row] -= f * h[col]
+            cur = a[row]
+            f = cur[col] / pivot
+            for j in range(col + 1, m):
+                cur[j] -= f * top[j]
+            rhs[row] -= f * rhs[col]
     out = np.empty(m)
     for row in range(m - 1, -1, -1):
-        out[row] = (h[row] - np.dot(g[row, row + 1 :], out[row + 1 :])) / g[row, row]
+        out[row] = (rhs[row] - np.dot(a[row][row + 1 :], out[row + 1 :])) / a[row][row]
     return out
 
 

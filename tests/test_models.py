@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greycast import models
 from greycast.accumulation import accumulate, inverse_accumulate
 from greycast.datasets import load_bundled
 from greycast.errors import (
@@ -18,6 +19,7 @@ from greycast.errors import (
     ZeroDevelopmentCoefficient,
 )
 from greycast.models import (
+    REL_PIVOT_TOL,
     BaseParams,
     FittedModel,
     ModelVariant,
@@ -146,6 +148,103 @@ class TestSolver:
         assert opt.alpha == pytest.approx(alpha, abs=1e-6)
         assert opt.beta == pytest.approx(beta, abs=1e-6)
         assert opt.gamma == pytest.approx(gamma, abs=1e-6)
+
+
+def numpy_scalar_solve(g, h):
+    """The pivoted solve as it was, on numpy arrays and float64 scalars."""
+    g = g.copy()
+    h = h.copy()
+    m = g.shape[0]
+    scale = np.max(np.abs(g))
+    if scale == 0.0:
+        raise SingularDesign("normal equations are identically zero")
+    for col in range(m):
+        p = col + int(np.argmax(np.abs(g[col:, col])))
+        if abs(g[p, col]) < REL_PIVOT_TOL * scale:
+            raise SingularDesign("pivot below tolerance")
+        if p != col:
+            g[[col, p]] = g[[p, col]]
+            h[[col, p]] = h[[p, col]]
+        for row in range(col + 1, m):
+            f = g[row, col] / g[col, col]
+            g[row, col:] -= f * g[col, col:]
+            h[row] -= f * h[col]
+    out = np.empty(m)
+    for row in range(m - 1, -1, -1):
+        out[row] = (h[row] - np.dot(g[row, row + 1 :], out[row + 1 :])) / g[row, row]
+    return out
+
+
+def solve_outcome(solve, g, h):
+    try:
+        with np.errstate(all="ignore"):
+            return solve(g, h)
+    except SingularDesign:
+        return "singular"
+
+
+def pivot_test_systems():
+    rng = np.random.default_rng(2024)
+    systems = []
+    # column-scaled normal equations, as solve_least_squares forms them
+    for i in range(3000):
+        m = 2 + i % 2
+        B = rng.normal(size=(int(rng.integers(m, 12)), m)) * 10.0 ** rng.uniform(-8, 8, m)
+        S = B / np.max(np.abs(B), axis=0)
+        systems.append((S.T @ S, S.T @ rng.normal(size=B.shape[0])))
+    # the last pivot just above, at and just below REL_PIVOT_TOL, in every
+    # row order, alone on the diagonal and with small off-diagonal terms
+    for tiny in (1.0000001e-12, 1e-12, 9.999999e-13, 0.0):
+        for perm in ((0, 1, 2), (2, 0, 1), (1, 2, 0), (0, 2, 1)):
+            for g in (np.diag([1.0, 0.5, tiny]), np.diag([1.0, 0.5, tiny]) + 0.3 * tiny):
+                systems.append((g[list(perm)], np.array([1.0, -2.0, 3.0])))
+        for g in (np.diag([1.0, tiny]), np.array([[tiny, 1.0], [1.0, tiny]])):
+            systems.append((g, np.array([0.5, 2.0])))
+    # tied pivot candidates: the first maximum must win
+    for g in (
+        [[1.0, 2.0], [-1.0, 3.0]],
+        [[-2.0, 1.0, 0.0], [2.0, 1.0, 1.0], [2.0, 0.0, 5.0]],
+        [[0.5, 1.0, 2.0], [0.5, 3.0, 1.0], [-0.5, 1.0, 4.0]],
+        np.ones((2, 2)),
+        np.ones((3, 3)),
+    ):
+        g = np.asarray(g)
+        systems.append((g, np.arange(1.0, g.shape[0] + 1)))
+    return systems
+
+
+class TestPivotedSolve:
+    """The Python-float elimination rounds exactly as the numpy one did."""
+
+    def test_bitwise_equal_to_the_numpy_scalar_solve(self):
+        counts = {"solved": 0, "singular": 0}
+        for g, h in pivot_test_systems():
+            got = solve_outcome(models._solve_pivoted, g, h)
+            want = solve_outcome(numpy_scalar_solve, g, h)
+            if isinstance(want, str):
+                assert got == want, (g, h)
+                counts["singular"] += 1
+            else:
+                assert not isinstance(got, str), (g, h)
+                assert got.tobytes() == want.tobytes(), (g, h)
+                counts["solved"] += 1
+        assert counts["singular"] >= 10 and counts["solved"] >= 3000
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            [[0.0, np.nan], [0.0, 1.0]],
+            [[1.0, 0.0], [np.nan, 1.0]],
+            [[2.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]],
+            [[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, np.nan]],
+        ],
+    )
+    def test_nan_in_the_matrix_gives_all_nan_as_before(self, g):
+        g = np.array(g)
+        h = np.arange(1.0, g.shape[0] + 1)
+        got = solve_outcome(models._solve_pivoted, g, h)
+        want = solve_outcome(numpy_scalar_solve, g, h)
+        assert np.isnan(want).all() and np.isnan(got).all()
 
 
 class TestOptimizeParams:
@@ -425,11 +524,38 @@ class TestSerialization:
             {"r": float("nan")},
             {"r": float("inf")},
             {"variant": "ongm11k"},  # order-locked, but r = 1.1595
+            {"a": float("nan")},
+            {"c": float("-inf")},
+            {"alpha": float("nan")},
+            {"gamma": float("inf")},
+            {"x0": float("inf")},
+            {"variant": "fagm11k"},  # not optimised, but alpha/beta/gamma set
+            {"variant": "fagm11k", "alpha": None, "beta": None},
+            {"nu": 10.7},
+            {"nu": "10"},
+            {"nu": float("inf")},
+            {"n_total": 12.5, "labels": list(range(2006, 2018))},
+            {"labels": [2006] * 12},
+            {"labels": list(range(2017, 2005, -1))},
+            {"labels": list(range(2006, 2017)) + [2016]},
+            {"labels": [2006.0] * 11 + [float("inf")]},
         ):
             doc = dict(good)
             doc.update(breakage)
             with pytest.raises(ModelFileError):
                 FittedModel.from_dict(doc)
+
+    def test_accepts_whole_number_floats_for_counts(self):
+        doc = self._model().to_dict()
+        doc.update(nu=10.0, n_total=12.0)
+        assert FittedModel.from_dict(doc) == self._model()
+
+    def test_every_fitted_variant_loads(self):
+        data = load_bundled("nuclear")
+        for variant in ModelVariant:
+            r = 1.0 if variant.order_locked else 1.1595
+            model = fit(data.values, r, variant, 10, labels=data.labels)
+            assert FittedModel.from_dict(model.to_dict()) == model
 
     def test_rejects_non_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from greycast import metrics, sweep
 from greycast.accumulation import accumulate
-from greycast.models import ModelVariant, fit
+from greycast.errors import DevelopmentCoefficientOutOfRange, GreycastError
+from greycast.metrics import evaluate
+from greycast.models import ModelVariant, fit, predict
 from greycast.sweep import (
     SWEEP_CSV_HEADER,
+    SweepCell,
     SweepConfig,
     eps_params,
     generate_synthetic,
@@ -142,3 +146,92 @@ class TestConfig:
             SweepConfig.regular(r_steps=0)
         with pytest.raises(ValueError):
             SweepConfig.regular(r_bounds=(-1.0, 2.0))
+
+
+# --- one fit per cell against the two-fit cell it replaced ---------------
+
+
+def two_fit_cell(r, alpha, beta, gamma, x0, n):
+    """The cell as it was: two full fits and two full reports."""
+    nan = math.nan
+    try:
+        raw = generate_synthetic(r, alpha, beta, gamma, x0, n)
+        plain = fit(raw, r, ModelVariant.FAGM11K, n)
+        optimised = fit(raw, r, ModelVariant.FAGMO11K, n)
+        truth = (alpha, beta, gamma)
+        eps_plain = eps_params((plain.base.a, plain.base.b, plain.base.c), truth)
+        eps_opt = eps_params(optimised.active_params, truth)
+        rmspe_plain = evaluate(raw, predict(plain, 0), n).rmspe
+        rmspe_opt = evaluate(raw, predict(optimised, 0), n).rmspe
+    except GreycastError:
+        return SweepCell(r, alpha, nan, nan, nan, nan, "fit_failed")
+    if not (math.isfinite(eps_plain) and math.isfinite(eps_opt)):
+        return SweepCell(r, alpha, nan, nan, nan, nan, "fit_failed")
+    return SweepCell(r, alpha, eps_plain, eps_opt, rmspe_plain, rmspe_opt, "ok")
+
+
+def two_fit_sweep(config):
+    cells = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, r in enumerate(config.r_grid):
+            for j, alpha in enumerate(config.alpha_grid):
+                rng = np.random.default_rng([int(config.seed), i, j])
+                beta = rng.uniform(*config.beta_range)
+                gamma = rng.uniform(*config.gamma_range)
+                x0 = rng.uniform(*config.x0_range)
+                cells.append(two_fit_cell(float(r), float(alpha), beta, gamma, x0,
+                                          config.n_points))
+    return cells
+
+
+# |alpha| up to 40 pushes the plain fit's a to |a| >= 2 in some cells, so
+# the optimised transform fails there and the cell is fit_failed
+@pytest.mark.parametrize("alpha_bounds", [(-1.99, 1.99), (-40.0, 40.0)])
+@pytest.mark.parametrize("seed", [0, 42, 7])
+def test_one_fit_cells_equal_the_two_fit_cells(seed, alpha_bounds):
+    config = SweepConfig.regular(12, 12, seed=seed, alpha_bounds=alpha_bounds)
+    got = run_sweep(config)
+    want = two_fit_sweep(config)
+    assert got == want
+    assert repr(got) == repr(want)  # bitwise, NaN fields included
+    if alpha_bounds[1] > 2:
+        assert any(c.status == "fit_failed" for c in got)
+
+
+@pytest.mark.parametrize("r", [0.05, 0.5, 1.0, 1.37, 2.0])
+@pytest.mark.parametrize("alpha", [-1.5, -0.2, 0.02, 0.7, 1.9])
+def test_optimised_model_is_the_optimised_fit(r, alpha):
+    raw = generate_synthetic(r, alpha, 2.5, 40.0, 1.3, 11)
+    for nu, labels in ((11, None), (9, range(2001, 2012))):
+        plain = fit(raw, r, ModelVariant.FAGM11K, nu, labels=labels)
+        assert sweep._as_optimised(plain) == fit(raw, r, ModelVariant.FAGMO11K, nu,
+                                                 labels=labels)
+
+
+def test_optimised_model_fails_where_the_optimised_fit_fails():
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        raw = generate_synthetic(1.0, 40.0, 2.5, 40.0, 1.3, 11)
+        plain = fit(raw, 1.0, ModelVariant.FAGM11K, 11)
+    with pytest.raises(DevelopmentCoefficientOutOfRange):
+        fit(raw, 1.0, ModelVariant.FAGMO11K, 11)
+    with pytest.raises(DevelopmentCoefficientOutOfRange):
+        sweep._as_optimised(plain)
+
+
+def test_one_fit_and_no_report_per_cell(monkeypatch):
+    calls = {"fit": 0, "evaluate": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sweep, "fit", counting("fit", sweep.fit))
+    for module in (sweep, metrics):  # wherever the sweep could reach it
+        if hasattr(module, "evaluate"):
+            monkeypatch.setattr(module, "evaluate", counting("evaluate", module.evaluate))
+    config = SweepConfig.regular(6, 6, seed=3, alpha_bounds=(-40.0, 40.0))
+    cells = run_sweep(config)
+    assert any(c.status == "fit_failed" for c in cells)
+    assert calls == {"fit": len(cells), "evaluate": 0}
