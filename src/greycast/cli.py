@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from collections import Counter
+from dataclasses import replace
 
 from .datasets import parse_dataset
 from .errors import GreycastError
@@ -86,14 +87,15 @@ def _fit_model(data, variant: ModelVariant, order, nu, order_step=0.0001):
         cfg = OrderSearchConfig(variant=variant, nu=nu, step=order_step)
         result = search_order(data.values, cfg)
         model = fit(data.values, result.r, variant, nu, labels=data.labels)
-        return model.with_order_search(
-            {
+        return replace(
+            model,
+            order_search={
                 "objective": result.objective,
                 "objective_value": result.objective_value,
                 "step": cfg.step,
                 "r_min": cfg.r_min,
                 "r_max": cfg.r_max,
-            }
+            },
         )
     return fit(data.values, order, variant, nu, labels=data.labels)
 
@@ -267,19 +269,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     variants = [v.value for v in ModelVariant]
 
-    p = sub.add_parser("fit", help="fit a model and write it as JSON")
-    p.add_argument("input", help="period,value CSV file")
-    p.add_argument("--model", choices=variants, default="fagmo")
-    p.add_argument(
+    # The arguments of the commands that fit a model to a CSV file.
+    fitting = argparse.ArgumentParser(add_help=False)
+    fitting.add_argument("input", help="period,value CSV file")
+    fitting.add_argument("--model", choices=variants, default="fagmo")
+    fitting.add_argument(
         "--order",
         type=_order_arg,
         default=1.0,
         help="fractional order r, or 'auto' to grid-search it (default: 1)",
     )
-    p.add_argument("--train", type=int, default=None, metavar="NU",
-                   help="number of leading samples to fit on (default: all)")
-    p.add_argument("--order-step", type=_positive, default=0.0001,
-                   help="grid resolution for --order auto")
+    fitting.add_argument("--train", type=int, default=None, metavar="NU",
+                         help="number of leading samples to fit on (default: all)")
+    fitting.add_argument("--order-step", type=_positive, default=0.0001,
+                         help="grid resolution for --order auto")
+
+    p = sub.add_parser("fit", parents=[fitting], help="fit a model and write it as JSON")
     p.add_argument("--out", default=None, help="path for the model JSON")
     p.set_defaults(func=cmd_fit)
 
@@ -289,13 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="path for the forecast CSV")
     p.set_defaults(func=cmd_forecast)
 
-    p = sub.add_parser("evaluate", help="fit and score against the full file")
-    p.add_argument("input", help="period,value CSV file")
-    p.add_argument("--model", choices=variants, default="fagmo")
-    p.add_argument("--order", type=_order_arg, default=1.0)
-    p.add_argument("--train", type=int, default=None, metavar="NU")
-    p.add_argument("--order-step", type=_positive, default=0.0001,
-                   help="grid resolution for --order auto")
+    p = sub.add_parser("evaluate", parents=[fitting], help="fit and score against the full file")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="parameter-recovery sweep over (r, alpha)")

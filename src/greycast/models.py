@@ -20,7 +20,7 @@ import enum
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,9 +126,22 @@ class OptParams:
 
 def _whole(value) -> int:
     """``int(value)`` for a value that already is a whole number."""
-    out = int(value)
-    if out != value:
+    try:
+        out = int(value)
+    except OverflowError:  # an infinite float
+        out = None
+    if out is None or out != value:
         raise ValueError(f"expected an integer, got {value!r}")
+    return out
+
+
+def _labels(labels, n_total: int) -> tuple[int, ...]:
+    """One whole-number label per value, strictly increasing."""
+    out = tuple(_whole(v) for v in labels)
+    if len(out) != n_total:
+        raise ValueError(f"got {len(out)} labels for {n_total} values")
+    if not all(map(operator.lt, out, out[1:])):
+        raise ValueError("labels must be strictly increasing")
     return out
 
 
@@ -203,7 +216,7 @@ class FittedModel:
             x0 = float(doc["x0"])
             nu = _whole(doc["nu"])
             n_total = _whole(doc["n_total"])
-            labels = tuple(int(v) for v in doc["labels"])
+            labels = _labels(doc["labels"], n_total)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFileError(f"bad model document: {exc}") from exc
         if not (math.isfinite(r) and r > 0):
@@ -220,14 +233,8 @@ class FittedModel:
         transform = (doc.get("alpha"), doc.get("beta"), doc.get("gamma"))
         if not variant.optimized and transform != (None, None, None):
             raise ModelFileError(f"{variant.value} is not optimised, but alpha/beta/gamma are set")
-        if len(labels) != n_total:
-            raise ModelFileError(
-                f"labels length {len(labels)} does not match n_total {n_total}"
-            )
         if not (4 <= nu <= n_total):
             raise ModelFileError(f"nu {nu} outside [4, n_total={n_total}]")
-        if not all(map(operator.lt, labels, labels[1:])):
-            raise ModelFileError("labels must be strictly increasing")
         return cls(
             variant=variant,
             r=r,
@@ -249,8 +256,15 @@ class FittedModel:
             raise ModelFileError(f"model file is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
 
-    def with_order_search(self, info: dict) -> "FittedModel":
-        return replace(self, order_search=dict(info))
+
+#: Design column of each of (a, b, c), None where the variant pins it to 0:
+#: the one statement of which parameters a variant estimates.
+_LAYOUT = {
+    variant: (0, None, 1) if variant.zero_slope
+    else (0, 1, None) if variant.zero_intercept
+    else (0, 1, 2)
+    for variant in ModelVariant
+}
 
 
 def build_design(series_r, variant: ModelVariant, nu: int | None = None):
@@ -260,28 +274,32 @@ def build_design(series_r, variant: ModelVariant, nu: int | None = None):
     ``[-z(k), (2k - 1)/2, 1]`` with response ``x_r(k) - x_r(k-1)``,
     where z(k) = 0.5 (x_r(k-1) + x_r(k)) is the trapezoid background
     value.  Variants with b = 0 drop the middle column; variants with
-    c = 0 drop the last.
+    c = 0 drop the last.  An (n, B) batch of series gives a (nu-1, m, B)
+    design and a (nu-1, B) response, one system per column.
     """
     series_r = np.asarray(series_r, dtype=float)
-    if series_r.ndim != 1:
-        raise ValueError("expected a 1-d accumulated series")
-    nu = series_r.size if nu is None else int(nu)
+    if series_r.ndim not in (1, 2):
+        raise ValueError("expected a 1-d accumulated series or an (n, B) batch of them")
+    size = series_r.shape[0]
+    nu = size if nu is None else int(nu)
     if nu < 4:
         raise TooFewSamples(f"need at least 4 samples to build the design, got nu={nu}")
-    if nu > series_r.size:
-        raise TooFewSamples(
-            f"accumulated series has {series_r.size} samples, cannot use nu={nu}"
-        )
+    if nu > size:
+        raise TooFewSamples(f"accumulated series has {size} samples, cannot use nu={nu}")
     xr = series_r[:nu]
-    z = 0.5 * (xr[:-1] + xr[1:])
-    d = np.diff(xr)
-    k = np.arange(2, nu + 1)
-    cols = [-z]
-    if not variant.zero_slope:
-        cols.append((2 * k - 1) / 2.0)
-    if not variant.zero_intercept:
-        cols.append(np.ones(nu - 1))
-    return np.column_stack(cols), d
+    k = np.arange(2, nu + 1).reshape((nu - 1,) + (1,) * (xr.ndim - 1))
+    columns = (-(0.5 * (xr[:-1] + xr[1:])), (2 * k - 1) / 2.0, 1.0)
+    layout = _LAYOUT[variant]
+    design = np.empty((nu - 1, len(layout) - layout.count(None)) + xr.shape[1:])
+    for col, i in zip(columns, layout):
+        if i is not None:
+            design[:, i] = col
+    return design, xr[1:] - xr[:-1]
+
+
+def _place(phi, variant: ModelVariant):
+    """(a, b, c) from solved design coefficients ``phi``; a pinned one is 0.0."""
+    return tuple(0.0 if i is None else phi[i] for i in _LAYOUT[variant])
 
 
 def _solve_pivoted(g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -354,10 +372,17 @@ def solve_least_squares(B, Y) -> np.ndarray:
         raise ValueError(
             f"underdetermined system: {B.shape[0]} rows for {B.shape[1]} columns"
         )
-    scale = np.max(np.abs(B), axis=0)
-    scale[scale == 0] = 1.0  # zero column stays zero and trips the pivot check
+    scale = _column_scale(B)
     scaled = B / scale
     return _solve_pivoted(scaled.T @ scaled, scaled.T @ Y) / scale
+
+
+def _column_scale(B) -> np.ndarray:
+    """Max |entry| of each column of a (rows, m) design, or of each system's
+    columns in a (rows, m, B) batch; a zero column gets scale 1."""
+    scale = np.abs(B).max(axis=0)
+    scale[scale == 0] = 1.0  # so a zero column stays zero and trips the pivot check
+    return scale
 
 
 def optimize_params(base: BaseParams) -> OptParams:
@@ -379,10 +404,16 @@ def optimize_params(base: BaseParams) -> OptParams:
         raise DevelopmentCoefficientOutOfRange(
             f"|a| must be < 2 for the optimised transform, got a={a!r}"
         )
-    alpha = math.log((2 + a) / (2 - a))
+    return OptParams(*_transform(a, b, c, math.log))
+
+
+def _transform(a, b, c, log):
+    """The (alpha, beta, gamma) formulas, on floats with ``math.log`` or on
+    arrays with ``np.log``; the caller checks 0 < |a| < 2."""
+    alpha = log((2 + a) / (2 - a))
     beta = b / a * alpha
     gamma = alpha * c / a - alpha * b / (2 * a) + beta / alpha + beta / 2 - beta / a
-    return OptParams(alpha, beta, gamma)
+    return alpha, beta, gamma
 
 
 def alpha_gap(a: float) -> float:
@@ -419,6 +450,20 @@ def time_response(model: FittedModel, k):
     return out
 
 
+def _training_window(values, nu: int | None):
+    """``values`` as a float array, and the number of leading samples to
+    train on: all of them when ``nu`` is None."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("expected a nonempty 1-d series")
+    nu = values.size if nu is None else int(nu)
+    if nu < 4:
+        raise TooFewSamples(f"need at least 4 training samples, got nu={nu}")
+    if nu > values.size:
+        raise TooFewSamples(f"series has {values.size} samples, cannot train on nu={nu}")
+    return values, nu
+
+
 def fit(
     values,
     r: float,
@@ -432,15 +477,8 @@ def fit(
     raw data is an ingestion-level rule, not enforced here, so synthetic
     series that dip negative after inverse accumulation stay fittable.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("expected a nonempty 1-d series")
+    values, nu = _training_window(values, nu)
     n_total = values.size
-    nu = n_total if nu is None else int(nu)
-    if nu < 4:
-        raise TooFewSamples(f"need at least 4 training samples, got nu={nu}")
-    if nu > n_total:
-        raise TooFewSamples(f"series has {n_total} samples, cannot train on nu={nu}")
     r = float(r)
     if not math.isfinite(r) or r <= 0:
         raise ValueError(f"fractional order must be finite and > 0, got {r!r}")
@@ -448,22 +486,10 @@ def fit(
         raise VariantOrderConflict(
             f"{variant.value} fixes the accumulation order to 1, got r={r!r}"
         )
-    if labels is None:
-        labels = tuple(range(1, n_total + 1))
-    else:
-        labels = tuple(int(v) for v in labels)
-        if len(labels) != n_total:
-            raise ValueError(f"got {len(labels)} labels for {n_total} values")
+    labels = tuple(range(1, n_total + 1)) if labels is None else _labels(labels, n_total)
 
-    xr = accumulate(values[:nu], r)
-    B, Y = build_design(xr, variant, nu)
-    phi = solve_least_squares(B, Y)
-    if variant.zero_slope:
-        base = BaseParams(phi[0], 0.0, phi[1])
-    elif variant.zero_intercept:
-        base = BaseParams(phi[0], phi[1], 0.0)
-    else:
-        base = BaseParams(phi[0], phi[1], phi[2])
+    B, Y = build_design(accumulate(values[:nu], r), variant)
+    base = BaseParams(*_place(solve_least_squares(B, Y), variant))
     opt = optimize_params(base) if variant.optimized else None
     return FittedModel(
         variant=variant,

@@ -13,14 +13,26 @@ chosen; pass ``objective="rmspepr"`` to restrict scoring to the
 training window instead.
 
 The scan runs in two stages.  A numpy kernel first scores every grid
-order at once, in chunks along a batch axis: the same accumulate,
-design, pivoted solve, transform, response, restore and RMSPE steps as
-:func:`~greycast.models.fit`, :func:`~greycast.models.predict` and
-:func:`~greycast.metrics.evaluate`, with the same failure rules.  The
-kernel uses elementwise operations only and sums in index order, so an
-order's score depends on that order alone, never on the chunk it falls
-in or on the grid around it.  Its sums run in a different order from
-the scalar pipeline's, so the two agree only to roundoff, which the
+order at once, in chunks along a batch axis, with the same failure rules
+as :func:`~greycast.models.fit`, :func:`~greycast.models.predict` and
+:func:`~greycast.metrics.evaluate`.  It calls the model's own code for
+the design (``build_design`` takes the batch), the column scaling, the
+placement of (a, b, c), the optimised transform and the response.  Three
+stages are the kernel's own, because the shared code would either change
+the kernel's bits, and with them the profile CSV, or slow the scalar
+path:
+
+- accumulation and restoration (``_convolve``), lag-wise shifted
+  multiply-adds, because ``np.convolve`` sums in a different order;
+- the normal equations, summed row by row, because BLAS ``@`` sums in a
+  different order;
+- the pivoted solve (``_solve_batch``), because for one system the
+  scalar solve on Python floats is several times faster.
+
+The kernel uses elementwise operations only and sums in index order, so
+an order's score depends on that order alone, never on the chunk it
+falls in or on the grid around it.  Its sums run in a different order
+from the scalar pipeline's, so the two agree only to roundoff, which the
 response's b/a and c/a terms amplify where a nears 0.  The
 :data:`RESCORE` best kernel candidates are then scored again through
 ``fit``/``predict``/``evaluate``; those values replace the kernel's in
@@ -39,9 +51,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GreycastError, NoFeasibleOrder, TooFewSamples
+from .errors import GreycastError, NoFeasibleOrder
 from .metrics import _check_pair, evaluate
-from .models import REL_PIVOT_TOL, ModelVariant, _response, fit, predict
+from .models import (
+    REL_PIVOT_TOL, ModelVariant, _column_scale, _place, _response, _training_window,
+    _transform, build_design, fit, predict,
+)
 
 __all__ = ["OrderSearchConfig", "OrderSearchResult", "search_order"]
 
@@ -163,46 +178,22 @@ def _solve_batch(G: np.ndarray, h: np.ndarray):
 def _fit_chunk(x, r, variant: ModelVariant, nu: int):
     """Batched ``fit``: active parameters (p, q, g) of every order in ``r``
     (B,) and a mask of the orders whose fit fails."""
-    # accumulate -> build_design, every column scaled to unit max
     xr = _convolve(_kernels(r, nu, forward=True), x[:nu, None])
-    z = 0.5 * (xr[:-1] + xr[1:])
-    d = xr[1:] - xr[:-1]
-    z_scale = np.abs(z).max(axis=0)
-    z_scale[z_scale == 0] = 1.0
-    drift = (2 * np.arange(2, nu + 1, dtype=float) - 1) / 2.0
-    col_scale = [z_scale]
-    if not variant.zero_slope:
-        col_scale.append(drift.max())
-    if not variant.zero_intercept:
-        col_scale.append(1.0)
-    m = len(col_scale)
-    S = np.empty((nu - 1, m, r.size))
-    S[:, 0] = -z / z_scale
-    if not variant.zero_slope:
-        S[:, 1] = (drift / drift.max())[:, None]
-    if not variant.zero_intercept:
-        S[:, -1] = 1.0
-    # solve_least_squares: normal equations summed row by row
+    B, d = build_design(xr, variant)
+    scale = _column_scale(B)
+    B /= scale
+    # normal equations, summed row by row
+    m = B.shape[1]
     G = np.zeros((m, m, r.size))
     h = np.zeros((m, r.size))
-    for row, d_row in zip(S, d):
+    for row, d_row in zip(B, d):
         G += row[:, None] * row[None, :]
         h += row * d_row
     phi, failed = _solve_batch(G, h)
-    for j, scale in enumerate(col_scale):
-        phi[j] /= scale
-    a = phi[0]
-    b = 0.0 if variant.zero_slope else phi[1]
-    c = 0.0 if variant.zero_intercept else phi[-1]
-    # optimize_params
+    p, q, g = _place(phi / scale, variant)
     if variant.optimized:
-        failed |= (a == 0) | (np.abs(a) >= 2)
-        alpha = np.log((2 + a) / (2 - a))
-        beta = b / a * alpha
-        gamma = alpha * c / a - alpha * b / (2 * a) + beta / alpha + beta / 2 - beta / a
-        p, q, g = alpha, beta, gamma
-    else:
-        p, q, g = a, b, c
+        failed |= (p == 0) | (np.abs(p) >= 2)
+        p, q, g = _transform(p, q, g, np.log)
     if variant.order_locked:
         failed |= r != 1.0
     return p, q, g, failed
@@ -258,14 +249,7 @@ def search_order(values, config: OrderSearchConfig | None = None, profile_path=N
     """
     cfg = config if config is not None else OrderSearchConfig()
     cfg.validate()
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("expected a nonempty 1-d series")
-    nu = values.size if cfg.nu is None else int(cfg.nu)
-    if nu < 4:
-        raise TooFewSamples(f"need at least 4 training samples, got nu={nu}")
-    if nu > values.size:
-        raise TooFewSamples(f"series has {values.size} samples, cannot train on nu={nu}")
+    values, nu = _training_window(values, cfg.nu)
     _check_pair(values, values)  # a 0 makes evaluate reject every order
 
     rs = _grid(cfg)

@@ -325,14 +325,6 @@ def _check_forecast_case(case, table, nu, columns, horizon=0,
         for row, expected, got in zip(row_labels, values, restored):
             cells.append(_cell(case, table, row, column, expected, float(got), VALUE_REL_TOL, "value"))
         report = evaluate(data.values, restored[:n], nu)
-        computed_metrics = {
-            "rmspepr": report.rmspepr,
-            "rmspepo": report.rmspepo,
-            "rmspe": report.rmspe,
-            "ia": report.ia,
-            "ae": report.ae,
-            "mae": report.mae,
-        }
         for metric, expected in metric_map.items():
             cells.append(
                 _cell(
@@ -341,7 +333,7 @@ def _check_forecast_case(case, table, nu, columns, horizon=0,
                     metric,
                     column,
                     expected,
-                    computed_metrics[metric],
+                    getattr(report, metric),
                     _metric_tol(metric, pct_tol),
                     _METRIC_KIND[metric],
                 )

@@ -44,6 +44,14 @@ __all__ = [
 
 ALPHA_DEAD_ZONE = 0.01  # |alpha| below this breaks the beta/alpha terms
 
+# Bounds of SweepConfig.regular's grids, and the ranges each cell draws
+# beta, gamma and x0 from.
+R_BOUNDS = (0.01, 2.0)
+ALPHA_BOUNDS = (-1.99, 1.99)
+BETA_RANGE = (0.0, 5.0)
+GAMMA_RANGE = (0.0, 100.0)
+X0_RANGE = (1.0, 2.0)
+
 SWEEP_CSV_HEADER = "r,alpha,eps_fagm,eps_fagmo,rmspe_fagm,rmspe_fagmo,status"
 
 
@@ -73,9 +81,6 @@ class SweepConfig:
     alpha_grid: tuple[float, ...]
     n_points: int = 11
     seed: int = 0
-    beta_range: tuple[float, float] = (0.0, 5.0)
-    gamma_range: tuple[float, float] = (0.0, 100.0)
-    x0_range: tuple[float, float] = (1.0, 2.0)
 
     @classmethod
     def regular(
@@ -84,25 +89,16 @@ class SweepConfig:
         alpha_steps: int = 100,
         n_points: int = 11,
         seed: int = 0,
-        r_bounds: tuple[float, float] = (0.01, 2.0),
-        alpha_bounds: tuple[float, float] = (-1.99, 1.99),
-        **kwargs,
     ) -> "SweepConfig":
-        """Evenly spaced grids; alpha points inside the dead zone around
-        0 are dropped."""
+        """Evenly spaced grids over R_BOUNDS and ALPHA_BOUNDS; alpha points
+        inside the dead zone around 0 are dropped."""
         if r_steps < 1 or alpha_steps < 1:
             raise ValueError("grid step counts must be >= 1")
-        if not (0 < r_bounds[0] < r_bounds[1]):
-            raise ValueError(f"bad r bounds {r_bounds}")
-        if not alpha_bounds[0] < alpha_bounds[1]:
-            raise ValueError(f"bad alpha bounds {alpha_bounds}")
-        r_grid = tuple(np.linspace(r_bounds[0], r_bounds[1], r_steps))
+        r_grid = tuple(np.linspace(*R_BOUNDS, r_steps))
         alpha_grid = tuple(
-            a
-            for a in np.linspace(alpha_bounds[0], alpha_bounds[1], alpha_steps)
-            if abs(a) >= ALPHA_DEAD_ZONE
+            a for a in np.linspace(*ALPHA_BOUNDS, alpha_steps) if abs(a) >= ALPHA_DEAD_ZONE
         )
-        return cls(r_grid=r_grid, alpha_grid=alpha_grid, n_points=n_points, seed=seed, **kwargs)
+        return cls(r_grid=r_grid, alpha_grid=alpha_grid, n_points=n_points, seed=seed)
 
     def validate(self) -> None:
         if len(self.r_grid) == 0 or len(self.alpha_grid) == 0:
@@ -144,9 +140,9 @@ def run_sweep(config: SweepConfig) -> list[SweepCell]:
         for i, r in enumerate(config.r_grid):
             for j, alpha in enumerate(config.alpha_grid):
                 rng = np.random.default_rng([int(config.seed), i, j])
-                beta = rng.uniform(*config.beta_range)
-                gamma = rng.uniform(*config.gamma_range)
-                x0 = rng.uniform(*config.x0_range)
+                beta = rng.uniform(*BETA_RANGE)
+                gamma = rng.uniform(*GAMMA_RANGE)
+                x0 = rng.uniform(*X0_RANGE)
                 cells.append(
                     _run_cell(float(r), float(alpha), beta, gamma, x0, config.n_points)
                 )

@@ -134,6 +134,16 @@ class TestFit:
             assert exc.value.code == 2
             assert "argument --order-step" in capsys.readouterr().err
 
+    def test_evaluate_help_matches_fit_help(self, capsys):
+        helps = {}
+        for command in ("fit", "evaluate"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            helps[command] = capsys.readouterr().out
+        for text in ("number of leading samples to fit on", "grid-search it",
+                     "grid resolution for --order auto"):
+            assert text in helps["fit"] and text in helps["evaluate"]
+
 
 class TestForecast:
     def test_horizon_rows_and_values(self, nuclear_model, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Model family: design construction, solving, transforms, fit/predict."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,35 @@ class TestBuildDesign:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             build_design([1.0, 2.0, 3.0], ModelVariant.GM11, 3)
+
+    @staticmethod
+    def column_stack_design(xr, variant, nu):
+        """``build_design`` as it was written before it took a batch."""
+        xr = xr[:nu]
+        k = np.arange(2, nu + 1)
+        cols = [-(0.5 * (xr[:-1] + xr[1:]))]
+        if not variant.zero_slope:
+            cols.append((2 * k - 1) / 2.0)
+        if not variant.zero_intercept:
+            cols.append(np.ones(nu - 1))
+        return np.column_stack(cols), np.diff(xr)
+
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_batch_equals_one_call_per_series(self, variant):
+        rng = np.random.default_rng(5)
+        xr = np.cumsum(rng.uniform(-3.0, 3.0, (9, 6)), axis=0)
+        xr[:, 2] = 0.0  # an all-zero background column
+        xr[:, 4] = accumulate(np.arange(1.0, 10.0), 0.7)
+        for nu in (None, 6):
+            B, Y = build_design(xr, variant, nu)
+            rows = (nu or 9) - 1
+            assert B.shape[::2] == (rows, 6) and Y.shape == (rows, 6)
+            for j in range(xr.shape[1]):
+                B1, Y1 = build_design(xr[:, j], variant, nu)
+                assert np.array_equal(B[..., j], B1) and np.array_equal(Y[:, j], Y1)
+                B0, Y0 = self.column_stack_design(xr[:, j], variant, nu or 9)
+                assert np.array_equal(B1, B0) and np.array_equal(Y1, Y0)
+        assert not B[:, 0, 2].any()
 
 
 class TestSolver:
@@ -385,6 +415,21 @@ class TestFit:
         with pytest.raises(ValueError):
             fit([1.0, 2.0, 3.0, 4.0], 1.0, ModelVariant.GM11, 4, labels=(1, 2))
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[2006.7, 2007.7, 2008.7, 2009.7, 2010.7], [5, 4, 3, 2, 1], [1, 1, 1, 1, 1],
+         [1, 2, 3, 3, 4], [1, 2, 3, float("nan"), 5], [1, 2, 3, 4, float("inf")]],
+    )
+    def test_labels_must_be_whole_and_strictly_increasing(self, labels):
+        with pytest.raises(ValueError):
+            fit([1.0, 2.0, 3.0, 4.0, 5.0], 1.0, ModelVariant.GM11KC, labels=labels)
+
+    def test_whole_number_labels_round_trip(self):
+        model = fit([1.0, 2.0, 3.0, 4.0, 5.0], 1.0, ModelVariant.GM11KC,
+                    labels=np.array([2001.0, 2003.0, 2004.0, 2010.0, 2011.0]))
+        assert model.labels == (2001, 2003, 2004, 2010, 2011)
+        assert FittedModel.from_dict(model.to_dict()) == model
+
 
 class TestPredict:
     def test_oilfield_forecast_values(self):
@@ -539,6 +584,7 @@ class TestSerialization:
             {"labels": list(range(2017, 2005, -1))},
             {"labels": list(range(2006, 2017)) + [2016]},
             {"labels": [2006.0] * 11 + [float("inf")]},
+            {"labels": [v + 0.7 for v in range(2006, 2018)]},
         ):
             doc = dict(good)
             doc.update(breakage)
@@ -564,7 +610,7 @@ class TestSerialization:
             FittedModel.load(path)
 
     def test_order_search_info_survives(self, tmp_path):
-        model = self._model().with_order_search({"objective": "rmspe", "objective_value": 3.3})
+        model = replace(self._model(), order_search={"objective": "rmspe", "objective_value": 3.3})
         path = tmp_path / "m.json"
         model.save(path)
         assert FittedModel.load(path).order_search == model.order_search

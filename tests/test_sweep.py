@@ -131,6 +131,7 @@ class TestConfig:
         config = SweepConfig.regular(r_steps=4, alpha_steps=101)
         assert len(config.alpha_grid) == 100
         assert all(abs(a) >= 0.01 for a in config.alpha_grid)
+        assert grid_config(4, 101, 0, sweep.ALPHA_BOUNDS) == config
 
     def test_validation_rejects_bad_grids(self):
         good = small_config()
@@ -144,8 +145,6 @@ class TestConfig:
             SweepConfig(r_grid=good.r_grid, alpha_grid=good.alpha_grid, n_points=4).validate()
         with pytest.raises(ValueError):
             SweepConfig.regular(r_steps=0)
-        with pytest.raises(ValueError):
-            SweepConfig.regular(r_bounds=(-1.0, 2.0))
 
 
 # --- one fit per cell against the two-fit cell it replaced ---------------
@@ -176,12 +175,20 @@ def two_fit_sweep(config):
         for i, r in enumerate(config.r_grid):
             for j, alpha in enumerate(config.alpha_grid):
                 rng = np.random.default_rng([int(config.seed), i, j])
-                beta = rng.uniform(*config.beta_range)
-                gamma = rng.uniform(*config.gamma_range)
-                x0 = rng.uniform(*config.x0_range)
+                beta = rng.uniform(*sweep.BETA_RANGE)
+                gamma = rng.uniform(*sweep.GAMMA_RANGE)
+                x0 = rng.uniform(*sweep.X0_RANGE)
                 cells.append(two_fit_cell(float(r), float(alpha), beta, gamma, x0,
                                           config.n_points))
     return cells
+
+
+def grid_config(r_steps, alpha_steps, seed, alpha_bounds):
+    """``SweepConfig.regular``'s grids, with alpha over ``alpha_bounds``."""
+    alpha_grid = tuple(a for a in np.linspace(*alpha_bounds, alpha_steps)
+                       if abs(a) >= sweep.ALPHA_DEAD_ZONE)
+    return SweepConfig(r_grid=tuple(np.linspace(*sweep.R_BOUNDS, r_steps)),
+                       alpha_grid=alpha_grid, seed=seed)
 
 
 # |alpha| up to 40 pushes the plain fit's a to |a| >= 2 in some cells, so
@@ -189,7 +196,7 @@ def two_fit_sweep(config):
 @pytest.mark.parametrize("alpha_bounds", [(-1.99, 1.99), (-40.0, 40.0)])
 @pytest.mark.parametrize("seed", [0, 42, 7])
 def test_one_fit_cells_equal_the_two_fit_cells(seed, alpha_bounds):
-    config = SweepConfig.regular(12, 12, seed=seed, alpha_bounds=alpha_bounds)
+    config = grid_config(12, 12, seed, alpha_bounds)
     got = run_sweep(config)
     want = two_fit_sweep(config)
     assert got == want
@@ -231,7 +238,7 @@ def test_one_fit_and_no_report_per_cell(monkeypatch):
     for module in (sweep, metrics):  # wherever the sweep could reach it
         if hasattr(module, "evaluate"):
             monkeypatch.setattr(module, "evaluate", counting("evaluate", module.evaluate))
-    config = SweepConfig.regular(6, 6, seed=3, alpha_bounds=(-40.0, 40.0))
+    config = grid_config(6, 6, 3, (-40.0, 40.0))
     cells = run_sweep(config)
     assert any(c.status == "fit_failed" for c in cells)
     assert calls == {"fit": len(cells), "evaluate": 0}
