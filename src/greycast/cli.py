@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 reproduction failure, 2 input error (bad CSV,
 bad model file, bad grid bounds, a file that cannot be read or
 written), 3 modelling error (singular design, out-of-range development
-coefficient, order conflicts, too few samples).  Floating output is
+coefficient, order conflicts, too few samples, a NaN or infinite value
+in the data, the parameters or a forecast).  Floating output is
 printed at 4 decimals; JSON and CSV artifacts keep full precision.
 """
 
@@ -15,6 +16,8 @@ import math
 import sys
 from collections import Counter
 from dataclasses import replace
+
+import numpy as np
 
 from .datasets import parse_dataset
 from .errors import GreycastError
@@ -145,7 +148,10 @@ def cmd_forecast(args) -> int:
     if args.horizon < 0:
         print("error: --horizon must be >= 0", file=sys.stderr)
         return EXIT_INPUT
-    restored = predict(model, args.horizon)
+    try:
+        restored = predict(model, args.horizon)
+    except GreycastError as exc:
+        return _fail(exc, EXIT_MODEL)
     labels = _extended_labels(model.labels, args.horizon)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -315,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # A NaN or inf ends in a typed error, so numpy's warnings add only noise.
+    with np.errstate(all="ignore"):
+        return args.func(args)
 
 
 if __name__ == "__main__":

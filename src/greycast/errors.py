@@ -43,3 +43,7 @@ class LengthMismatch(GreycastError):
 
 class NoFeasibleOrder(GreycastError):
     """Every candidate order in the search grid failed to fit."""
+
+
+class NonFiniteResult(GreycastError):
+    """A series, parameter or forecast value is NaN or infinite."""

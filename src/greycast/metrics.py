@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, ZeroObserved
+from .errors import LengthMismatch, NonFiniteResult, ZeroObserved
 
 __all__ = ["EvaluationReport", "evaluate", "relative_errors"]
 
@@ -57,9 +57,12 @@ def _check_pair(observed, predicted) -> tuple[np.ndarray, np.ndarray]:
         )
     if observed.size == 0:
         raise ValueError("series are empty")
-    if np.any(observed == 0):
-        k = int(np.flatnonzero(observed == 0)[0])
-        raise ZeroObserved(f"observed value at position {k + 1} is exactly 0")
+    bad = (observed == 0) | ~np.isfinite(observed)
+    if bad.any():
+        k = int(bad.argmax())
+        if observed[k] == 0:
+            raise ZeroObserved(f"observed value at position {k + 1} is exactly 0")
+        raise NonFiniteResult(f"observed value at position {k + 1} is {float(observed[k])!r}")
     return observed, predicted
 
 

@@ -24,10 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulation import accumulate, inverse_accumulate
+from .accumulation import _check_order, accumulate, inverse_accumulate
 from .errors import (
     DevelopmentCoefficientOutOfRange,
+    GreycastError,
     ModelFileError,
+    NonFiniteResult,
     SingularDesign,
     TooFewSamples,
     VariantOrderConflict,
@@ -73,18 +75,14 @@ class ModelVariant(enum.Enum):
     GM11K = "gm11k"
     GM11 = "gm11"
 
+    # Both compare values: looking members up on the class costs far more.
     @property
     def optimized(self) -> bool:
-        return self in (ModelVariant.FAGMO11K, ModelVariant.ONGM11K)
+        return self._value_ in ("fagmo", "ongm11k")
 
     @property
     def order_locked(self) -> bool:
-        return self in (
-            ModelVariant.ONGM11K,
-            ModelVariant.GM11KC,
-            ModelVariant.GM11K,
-            ModelVariant.GM11,
-        )
+        return self._value_ in ("ongm11k", "gm11kc", "gm11k", "gm11")
 
     @property
     def zero_slope(self) -> bool:
@@ -147,6 +145,16 @@ def _labels(labels, n_total: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FittedModel:
+    """A fitted family member.  Every constructor (:func:`fit`,
+    :meth:`from_dict`, ``dataclasses.replace``) passes the same checks: r
+    passes the accumulation's order rule and is 1 for an order-locked
+    variant (VariantOrderConflict); ``opt`` is None exactly when the
+    variant is not optimised; x0 and every parameter are finite
+    (NonFiniteResult); and 4 <= nu <= n_total (TooFewSamples).  Labels
+    are checked where they are parsed, by :func:`fit` and
+    :meth:`from_dict`, so that building a model does not loop over them.
+    """
+
     variant: ModelVariant
     r: float
     base: BaseParams
@@ -156,6 +164,23 @@ class FittedModel:
     n_total: int
     labels: tuple[int, ...]
     order_search: dict | None = None
+
+    def __post_init__(self):
+        variant, base, opt = self.variant, self.base, self.opt
+        if _check_order(self.r) != 1.0 and variant.order_locked:
+            raise VariantOrderConflict(
+                f"{variant.value} fixes the accumulation order to 1, got r={self.r!r}"
+            )
+        if (opt is None) == variant.optimized:
+            raise ValueError(f"{variant.value} takes alpha/beta/gamma exactly when optimised")
+        isfinite = math.isfinite
+        if not (
+            isfinite(self.x0) and isfinite(base.a) and isfinite(base.b) and isfinite(base.c)
+            and (opt is None or isfinite(opt.alpha) and isfinite(opt.beta) and isfinite(opt.gamma))
+        ):
+            raise NonFiniteResult(f"parameters must be finite, got x0={self.x0!r}, {base}, {opt}")
+        if not 4 <= self.nu <= self.n_total:
+            raise TooFewSamples(f"nu {self.nu} outside [4, n_total={self.n_total}]")
 
     @property
     def active_params(self) -> tuple[float, float, float]:
@@ -195,10 +220,8 @@ class FittedModel:
         """Load a document written by :meth:`to_dict`.
 
         Raises ModelFileError for any document that :func:`fit` could not
-        have produced: missing fields, non-finite parameters, a transform
-        on an unoptimised variant (or none on an optimised one), an order
-        the variant forbids, non-integer counts, or labels that do not
-        strictly increase.
+        have produced: a missing or malformed field (alpha/beta/gamma must
+        be all null or all numbers), or a model that breaks an invariant.
         """
         if not isinstance(doc, dict):
             raise ModelFileError("model document must be a JSON object")
@@ -207,45 +230,22 @@ class FittedModel:
                 f"unsupported schema_version {doc.get('schema_version')!r}"
             )
         try:
-            variant = ModelVariant.from_tag(doc["variant"])
-            r = float(doc["r"])
-            base = BaseParams(float(doc["a"]), float(doc["b"]), float(doc["c"]))
-            opt = None
-            if doc.get("alpha") is not None:
-                opt = OptParams(float(doc["alpha"]), float(doc["beta"]), float(doc["gamma"]))
-            x0 = float(doc["x0"])
-            nu = _whole(doc["nu"])
+            transform = (doc.get("alpha"), doc.get("beta"), doc.get("gamma"))
             n_total = _whole(doc["n_total"])
-            labels = _labels(doc["labels"], n_total)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return cls(
+                variant=ModelVariant.from_tag(doc["variant"]),
+                r=float(doc["r"]),
+                base=BaseParams(float(doc["a"]), float(doc["b"]), float(doc["c"])),
+                opt=None if transform == (None, None, None)
+                else OptParams(*map(float, transform)),
+                x0=float(doc["x0"]),
+                nu=_whole(doc["nu"]),
+                n_total=n_total,
+                labels=_labels(doc["labels"], n_total),
+                order_search=doc.get("order_search"),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError, GreycastError) as exc:
             raise ModelFileError(f"bad model document: {exc}") from exc
-        if not (math.isfinite(r) and r > 0):
-            raise ModelFileError(f"fractional order must be finite and > 0, got {r!r}")
-        if variant.order_locked and r != 1.0:
-            raise ModelFileError(f"{variant.value} fixes the accumulation order to 1, got r={r!r}")
-        params = (base.a, base.b, base.c, x0)
-        if opt is not None:
-            params += (opt.alpha, opt.beta, opt.gamma)
-        if not all(map(math.isfinite, params)):
-            raise ModelFileError(f"parameters and x0 must be finite, got {params!r}")
-        if variant.optimized and opt is None:
-            raise ModelFileError("optimised variant but alpha/beta/gamma are null")
-        transform = (doc.get("alpha"), doc.get("beta"), doc.get("gamma"))
-        if not variant.optimized and transform != (None, None, None):
-            raise ModelFileError(f"{variant.value} is not optimised, but alpha/beta/gamma are set")
-        if not (4 <= nu <= n_total):
-            raise ModelFileError(f"nu {nu} outside [4, n_total={n_total}]")
-        return cls(
-            variant=variant,
-            r=r,
-            base=base,
-            opt=opt,
-            x0=x0,
-            nu=nu,
-            n_total=n_total,
-            labels=labels,
-            order_search=doc.get("order_search"),
-        )
 
     @classmethod
     def load(cls, path) -> "FittedModel":
@@ -480,12 +480,6 @@ def fit(
     values, nu = _training_window(values, nu)
     n_total = values.size
     r = float(r)
-    if not math.isfinite(r) or r <= 0:
-        raise ValueError(f"fractional order must be finite and > 0, got {r!r}")
-    if variant.order_locked and r != 1.0:
-        raise VariantOrderConflict(
-            f"{variant.value} fixes the accumulation order to 1, got r={r!r}"
-        )
     labels = tuple(range(1, n_total + 1)) if labels is None else _labels(labels, n_total)
 
     B, Y = build_design(accumulate(values[:nu], r), variant)
@@ -508,14 +502,19 @@ def predict(model: FittedModel, horizon: int = 0) -> np.ndarray:
 
     Evaluates the response at k = 1..n_total+horizon and applies the
     inverse accumulation at the model's order.  Element 1 equals the
-    anchored initial value exactly.
+    anchored initial value exactly.  Raises NonFiniteResult when a value
+    overflows; finite values, however large, are returned.
     """
     horizon = int(horizon)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     total = model.n_total + horizon
     xr_hat = time_response(model, np.arange(1, total + 1))
-    return inverse_accumulate(xr_hat, model.r)
+    out = inverse_accumulate(xr_hat, model.r)
+    # A finite sum means every value is finite; the sum alone can overflow.
+    if not (math.isfinite(out.sum()) or np.isfinite(out).all()):
+        raise NonFiniteResult(f"restored value {np.argmin(np.isfinite(out)) + 1} overflows")
+    return out
 
 
 def discretization_gap(model: FittedModel, k: int) -> float:

@@ -244,13 +244,14 @@ def search_order(values, config: OrderSearchConfig | None = None, profile_path=N
     Writes the full (r, objective, status) profile as CSV when
     ``profile_path`` is given.  Raises TooFewSamples when the training
     window ``nu`` is below 4 or longer than the series, ZeroObserved when
-    the series holds a 0 (percentage errors are undefined), and
-    NoFeasibleOrder when every grid point fails.
+    the series holds a 0 (percentage errors are undefined),
+    NonFiniteResult when it holds a NaN or inf, and NoFeasibleOrder when
+    every grid point fails.
     """
     cfg = config if config is not None else OrderSearchConfig()
     cfg.validate()
     values, nu = _training_window(values, cfg.nu)
-    _check_pair(values, values)  # a 0 makes evaluate reject every order
+    _check_pair(values, values)  # a 0, NaN or inf makes evaluate reject every order
 
     rs = _grid(cfg)
     scores = _score_grid(values, rs, cfg.variant, nu, cfg.objective)

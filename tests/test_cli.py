@@ -1,11 +1,16 @@
 """End-to-end CLI behaviour: commands, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import greycast
 from greycast.cli import main
 from greycast.sweep import generate_synthetic
 
@@ -70,6 +75,55 @@ class TestFit:
         )
         assert code == 3
         assert "VariantOrderConflict" in stderr
+
+    def test_non_finite_fit_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("period,value\n2001,1\n2002,1e308\n2003,3\n2004,4\n2005,5\n")
+        code, stdout, stderr = run(["fit", str(path), "--order", "0.5"], capsys)
+        assert code == 3
+        assert stdout == ""
+        assert stderr.startswith("error: NonFiniteResult: ")
+        assert "Traceback" not in stderr
+
+    def test_non_finite_fit_prints_only_the_error(self, tmp_path):
+        # a fresh interpreter, where numpy's warnings would reach stderr
+        path = tmp_path / "huge.csv"
+        path.write_text("period,value\n2001,1\n2002,1e308\n2003,3\n2004,4\n2005,5\n")
+        src = str(Path(greycast.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "greycast.cli", "fit", str(path), "--order", "0.5"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: NonFiniteResult: ")
+
+    def test_huge_order_stays_exit_0(self, capsys):
+        # finite however large: RMSPE near 3e105%, but no NaN or inf
+        code, stdout, _ = run(["fit", NUCLEAR, "--order", "1e6"], capsys)
+        assert code == 0
+        assert "nan" not in stdout and "inf" not in stdout
+
+    @pytest.mark.parametrize(
+        "values",
+        [["1", "1e308", "3", "4", "5"], ["1e308"] * 5, ["1", "2", "0", "4", "5"],
+         ["-1", "-2", "-3", "-4", "-5"], ["1", "1", "1", "1"], ["1", "2", "3"],
+         ["1e-308", "1", "1e300", "1", "1e-300", "5"]],
+    )
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_hostile_csv_gives_a_typed_exit(self, values, command, tmp_path, capsys):
+        path = tmp_path / "hostile.csv"
+        rows = "".join(f"{2001 + i},{v}\n" for i, v in enumerate(values))
+        path.write_text("period,value\n" + rows)
+        for order in ("0.5", "auto"):
+            code, stdout, stderr = run(
+                [command, str(path), "--order", order, "--order-step", "0.05"], capsys
+            )
+            assert code in (0, 2, 3)
+            assert (code == 0) == (stderr == "")
+            if code == 0:
+                assert "nan" not in stdout and "inf" not in stdout
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, stderr = run(["fit", str(tmp_path / "nope.csv")], capsys)
@@ -245,6 +299,28 @@ class TestForecast:
         )
         assert code == 2
         assert "error: ModelFileError" in stderr
+
+    def test_overflowing_forecast_exits_3(self, nuclear_model, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        code, _, stderr = run(
+            ["forecast", "--model", str(nuclear_model), "--horizon", "20000",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 3
+        assert stderr.startswith("error: NonFiniteResult: ")
+        assert "Traceback" not in stderr
+        assert not out.exists()
+
+    def test_large_finite_forecast_exits_0(self, nuclear_model, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        code, _, _ = run(
+            ["forecast", "--model", str(nuclear_model), "--horizon", "2000",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert float(out.read_text().splitlines()[-1].split(",")[1]) > 1e236
 
     def test_missing_model_file_exits_2(self, tmp_path, capsys):
         code, _, stderr = run(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greycast.datasets import load_bundled
-from greycast.errors import LengthMismatch, ZeroObserved
+from greycast.errors import LengthMismatch, NonFiniteResult, ZeroObserved
 from greycast.metrics import evaluate, relative_errors
 from greycast.models import ModelVariant, fit, predict
 
@@ -133,6 +133,14 @@ def test_agreement_index_bounds():
 def test_zero_observed_rejected():
     with pytest.raises(ZeroObserved):
         evaluate([1.0, 0.0, 2.0, 3.0], [1.0, 1.0, 2.0, 3.0], 4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_observed_rejected(bad):
+    with pytest.raises(NonFiniteResult, match="position 6"):
+        evaluate([1.0, 2.0, 3.0, 4.0, 5.0, bad], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 4)
+    with pytest.raises(NonFiniteResult, match="position 2"):
+        relative_errors([1.0, bad, 0.0], [1.0, 2.0, 3.0])
 
 
 def test_length_mismatch_rejected():

@@ -1,11 +1,12 @@
 """Model family: design construction, solving, transforms, fit/predict."""
 
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greycast import models
@@ -13,7 +14,9 @@ from greycast.accumulation import accumulate, inverse_accumulate
 from greycast.datasets import load_bundled
 from greycast.errors import (
     DevelopmentCoefficientOutOfRange,
+    GreycastError,
     ModelFileError,
+    NonFiniteResult,
     SingularDesign,
     TooFewSamples,
     VariantOrderConflict,
@@ -424,6 +427,12 @@ class TestFit:
         with pytest.raises(ValueError):
             fit([1.0, 2.0, 3.0, 4.0, 5.0], 1.0, ModelVariant.GM11KC, labels=labels)
 
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    @pytest.mark.parametrize("values", [[1, 2, math.nan, 4, 5], [1, 1e308, 3, 4, 5]])
+    def test_non_finite_parameters_raise(self, values, variant):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteResult):
+            fit(values, 1.0 if variant.order_locked else 0.5, variant)
+
     def test_whole_number_labels_round_trip(self):
         model = fit([1.0, 2.0, 3.0, 4.0, 5.0], 1.0, ModelVariant.GM11KC,
                     labels=np.array([2001.0, 2003.0, 2004.0, 2010.0, 2011.0]))
@@ -456,6 +465,12 @@ class TestPredict:
         r = 1.0 if variant.order_locked else 0.7
         model = fit(raw, r, variant, 9)
         assert predict(model, 2)[0] == raw[0]
+
+    def test_overflow_raises_and_large_finite_values_pass(self):
+        model = fit(load_bundled("nuclear").values, 1.1595, ModelVariant.FAGMO11K, 10)
+        assert 1e236 < predict(model, 2000)[-1] < math.inf
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteResult, match="overflows"):
+            predict(model, 20000)
 
     def test_negative_horizon_rejected(self):
         model = fit(load_bundled("nuclear").values, 1.0, ModelVariant.GM11, 10)
@@ -521,20 +536,24 @@ class TestReductions:
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def _valid_fields(**overrides):
+    fields = dict(
+        variant=ModelVariant.FAGMO11K,
+        r=1.1595,
+        base=BaseParams(-0.1145923, 0.35521, 1.882),
+        opt=OptParams(-0.1147, 0.3555, 1.8834),
+        x0=12.4,
+        nu=10,
+        n_total=12,
+        labels=tuple(range(2006, 2018)),
+    )
+    fields.update(overrides)
+    return fields
+
+
 class TestSerialization:
     def _model(self, **overrides):
-        fields = dict(
-            variant=ModelVariant.FAGMO11K,
-            r=1.1595,
-            base=BaseParams(-0.1145923, 0.35521, 1.882),
-            opt=OptParams(-0.1147, 0.3555, 1.8834),
-            x0=12.4,
-            nu=10,
-            n_total=12,
-            labels=tuple(range(2006, 2018)),
-        )
-        fields.update(overrides)
-        return FittedModel(**fields)
+        return FittedModel(**_valid_fields(**overrides))
 
     def test_round_trip_through_file(self, tmp_path):
         data = load_bundled("nuclear")
@@ -614,3 +633,105 @@ class TestSerialization:
         path = tmp_path / "m.json"
         model.save(path)
         assert FittedModel.load(path).order_search == model.order_search
+
+
+class TestInvariants:
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"r": 0.0}, ValueError),
+            ({"r": -1.0}, ValueError),
+            ({"r": math.nan}, ValueError),
+            ({"r": math.inf}, ValueError),
+            ({"variant": ModelVariant.ONGM11K}, VariantOrderConflict),
+            ({"variant": ModelVariant.GM11, "opt": None, "r": 0.5}, VariantOrderConflict),
+            ({"opt": None}, ValueError),
+            ({"variant": ModelVariant.FAGM11K}, ValueError),
+            ({"x0": math.inf}, NonFiniteResult),
+            ({"base": BaseParams(math.nan, 0.35521, 1.882)}, NonFiniteResult),
+            ({"base": BaseParams(-0.1, -math.inf, 1.882)}, NonFiniteResult),
+            ({"base": BaseParams(-0.1, 0.35521, math.inf)}, NonFiniteResult),
+            ({"opt": OptParams(math.nan, 0.3555, 1.8834)}, NonFiniteResult),
+            ({"opt": OptParams(-0.1147, math.inf, 1.8834)}, NonFiniteResult),
+            ({"opt": OptParams(-0.1147, 0.3555, -math.inf)}, NonFiniteResult),
+            ({"nu": 3}, TooFewSamples),
+            ({"nu": 13}, TooFewSamples),
+        ],
+    )
+    def test_each_broken_invariant_raises_its_error(self, overrides, error):
+        FittedModel(**_valid_fields())
+        with pytest.raises(error):
+            FittedModel(**_valid_fields(**overrides))
+
+    def test_replace_is_checked_too(self):
+        model = FittedModel(**_valid_fields())
+        with pytest.raises(NonFiniteResult):
+            replace(model, x0=math.nan)
+        with pytest.raises(ValueError):
+            replace(model, variant=ModelVariant.FAGM11K)
+
+
+@st.composite
+def fitted_models(draw):
+    """Whatever ``fit`` returns over variants, orders, windows and labels."""
+    variant = draw(st.sampled_from(list(ModelVariant)))
+    n = draw(st.integers(4, 16))
+    nu = draw(st.integers(4, n))
+    r = 1.0 if variant.order_locked else draw(st.floats(0.05, 2.0))
+    growth = draw(st.floats(-0.2, 0.3))
+    noise = draw(st.lists(st.floats(0.9, 1.1), min_size=n, max_size=n))
+    values = 2.0 * np.exp(growth * np.arange(n)) * np.array(noise)
+    labels = draw(
+        st.none()
+        | st.tuples(st.integers(-3000, 3000), st.lists(st.integers(1, 50), min_size=n,
+                                                       max_size=n))
+        .map(lambda t: (t[0] + np.cumsum(t[1])).tolist())
+    )
+    try:
+        return fit(values, r, variant, nu, labels=labels)
+    except GreycastError:
+        assume(False)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=13) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=16,
+)
+_DELETE = object()
+_NUCLEAR = load_bundled("nuclear")
+_NUCLEAR_DOCS = [
+    fit(_NUCLEAR.values, 1.0 if v.order_locked else 1.1595, v, 10,
+        labels=_NUCLEAR.labels).to_dict()
+    for v in ModelVariant
+]
+
+
+class TestDocumentProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(model=fitted_models())
+    def test_every_fit_round_trips(self, model):
+        doc = json.loads(json.dumps(model.to_dict()))
+        assert FittedModel.from_dict(doc) == model
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        good=st.sampled_from(_NUCLEAR_DOCS),
+        field=st.sampled_from(sorted(_NUCLEAR_DOCS[0]) + ["order_search"]),
+        value=st.just(_DELETE) | st.sampled_from([v.value for v in ModelVariant])
+        | st.integers(-2, 20) | st.floats() | _json_values,
+    )
+    def test_one_broken_field_loads_a_valid_model_or_raises_model_file_error(
+        self, good, field, value
+    ):
+        doc = dict(good)
+        if value is _DELETE:
+            doc.pop(field, None)
+        else:
+            doc[field] = value
+        try:
+            loaded = FittedModel.from_dict(doc)
+        except ModelFileError:
+            return
+        assert FittedModel.from_dict(loaded.to_dict()) == loaded

@@ -11,6 +11,7 @@ from greycast.datasets import load_bundled
 from greycast.errors import (
     GreycastError,
     NoFeasibleOrder,
+    NonFiniteResult,
     SingularDesign,
     TooFewSamples,
     ZeroObserved,
@@ -126,6 +127,14 @@ def test_zero_observed_fails_every_order():
     cfg = OrderSearchConfig(step=0.1, nu=6, objective="rmspepr")
     with pytest.raises(ZeroObserved, match="position 7"):
         search_order(raw, cfg)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_value_is_named_up_front(bad):
+    raw = generate_synthetic(0.7, 0.3, 1.0, 10.0, 1.5, 8)
+    raw[4] = bad
+    with pytest.raises(NonFiniteResult, match="position 5"):
+        search_order(raw, OrderSearchConfig(step=0.1))
 
 
 # --- the kernel against the candidate-by-candidate scalar scan ----------

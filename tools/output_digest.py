@@ -9,6 +9,11 @@ same bytes:
 
     diff <(python tools/output_digest.py PARENT) <(python tools/output_digest.py .)
 
+The first line names the numpy build and machine.  ``output_digest.txt``
+next to this file holds the output for the tree it sits in;
+``tests/test_output_digest.py`` recomputes its library and 30x30 sweep
+lines, and a change that means to alter outputs writes the file again.
+
 Covered: sweep CSVs at several seeds; the ``search_order`` result and
 profile CSV for each bundled series, search variant and objective;
 fit/predict/evaluate/to_dict over seeded series and all seven variants,
@@ -22,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -30,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 TREE: Path  # set by main(), as is the greycast module ``gc`` imported from it
+# (the test that imports this file sets ``gc`` itself)
 SWEEP_SEEDS = (0, 42, 7, 9628820819983981567, 1276284046780378592)
 SEARCH_VARIANTS = ("fagmo", "fagm11k", "fagm11")
 LIBRARY_CASES = 300
@@ -49,12 +56,19 @@ def outcome(call):
         return f"{type(exc).__name__}: {exc}"
 
 
-def digest_sweeps(work: Path) -> None:
-    for seed in SWEEP_SEEDS:
-        path = work / "sweep.csv"
+def platform_line() -> str:
+    """What the digests depend on besides the tree: other numpy or BLAS
+    builds and other CPUs may round differently."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    return f"platform numpy={np.__version__} blas={blas} machine={platform.machine()}"
+
+
+def digest_sweeps(work: Path, seeds=SWEEP_SEEDS) -> None:
+    """A 100x100 sweep per seed, then one 30x30 sweep of 6-point series."""
+    path = work / "sweep.csv"
+    for seed in seeds:
         gc.write_sweep_csv(gc.run_sweep(gc.SweepConfig.regular(100, 100, seed=seed)), path)
         emit(f"sweep seed={seed}", path.read_bytes())
-    path = work / "sweep.csv"
     gc.write_sweep_csv(gc.run_sweep(gc.SweepConfig.regular(30, 30, n_points=6, seed=5)), path)
     emit("sweep 30x30 n_points=6 seed=5", path.read_bytes())
 
@@ -173,6 +187,7 @@ def main() -> None:
 
     if not Path(gc.__file__).resolve().is_relative_to(TREE):
         sys.exit(f"greycast was imported from {gc.__file__}, not from {TREE}")
+    print(platform_line())
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         digest_sweeps(work)
