@@ -117,15 +117,9 @@ def ago_matrix(n, r) -> np.ndarray:
 
     Upper triangular with a unit diagonal, hence determinant 1.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"matrix size must be >= 1, got {n}")
     return _triangular(forward_coeffs(r, n))
 
 
 def iago_matrix(n, r) -> np.ndarray:
     """n-by-n r-IAGO matrix, the inverse of :func:`ago_matrix`."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"matrix size must be >= 1, got {n}")
     return _triangular(inverse_coeffs(r, n))

@@ -14,12 +14,11 @@ import argparse
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 
-from .datasets import parse_dataset
+from .datasets import _extended_labels, parse_dataset
 from .errors import GreycastError
 from .metrics import evaluate, relative_errors
 from .models import FittedModel, ModelVariant, fit, predict
@@ -50,22 +49,6 @@ def _order_arg(text: str):
 def _fail(exc: Exception, code: int) -> int:
     print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     return code
-
-
-def _modal_stride(labels) -> int:
-    if len(labels) < 2:
-        return 1
-    counts = Counter(b - a for a, b in zip(labels, labels[1:]))
-    # Most common stride; ties go to the smaller one.
-    stride, _ = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-    return stride
-
-
-def _extended_labels(labels, horizon: int) -> list[int]:
-    labels = list(labels)
-    stride = _modal_stride(labels)
-    last = labels[-1]
-    return labels + [last + stride * (i + 1) for i in range(horizon)]
 
 
 def _print_report(report, heading: str) -> None:

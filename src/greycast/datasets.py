@@ -1,7 +1,16 @@
-"""Series container, strict CSV ingestion, and the bundled datasets."""
+"""Series container, strict CSV ingestion, and the bundled datasets.
+
+This module owns the rules for period labels: :func:`_labels` checks
+them (whole numbers, strictly increasing, one per value) for
+:class:`Series`, :func:`~greycast.models.fit` and model files, and
+:func:`_extended_labels` continues them past the data for forecasts and
+the reference tables.
+"""
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
@@ -14,9 +23,48 @@ __all__ = ["Series", "parse_dataset", "load_bundled", "BUNDLED_DATASETS"]
 BUNDLED_DATASETS = ("oilfield", "settlement", "nuclear")
 
 
+def _whole(value) -> int:
+    """``int(value)`` for a value that already is a whole number, and not a bool."""
+    try:
+        out = int(value)
+    except OverflowError:  # an infinite float
+        out = None
+    if out is None or out != value or isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return out
+
+
+def _labels(labels, n_total: int) -> tuple[int, ...]:
+    """One whole-number label per value, strictly increasing."""
+    out = tuple(_whole(v) for v in labels)
+    if len(out) != n_total:
+        raise ValueError(f"got {len(out)} labels for {n_total} values")
+    if not all(map(operator.lt, out, out[1:])):
+        raise ValueError("labels must be strictly increasing")
+    return out
+
+
+def _modal_stride(labels) -> int:
+    if len(labels) < 2:
+        return 1
+    counts = Counter(b - a for a, b in zip(labels, labels[1:]))
+    # Most common stride; ties go to the smaller one.
+    stride, _ = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
+    return stride
+
+
+def _extended_labels(labels, horizon: int) -> list[int]:
+    """``labels`` followed by ``horizon`` more, spaced by the most common stride."""
+    labels = list(labels)
+    stride = _modal_stride(labels)
+    last = labels[-1]
+    return labels + [last + stride * (i + 1) for i in range(horizon)]
+
+
 @dataclass(frozen=True, eq=False)
 class Series:
-    """Ordered observations with integer period labels (year or day index)."""
+    """Ordered observations with integer period labels (year or day index),
+    checked by :func:`_labels`."""
 
     labels: tuple[int, ...]
     values: np.ndarray
@@ -25,14 +73,10 @@ class Series:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:
             raise ValueError("values must be 1-d")
-        if len(self.labels) != values.size:
-            raise ValueError(
-                f"{len(self.labels)} labels for {values.size} values"
-            )
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", tuple(int(v) for v in self.labels))
+        object.__setattr__(self, "labels", _labels(self.labels, values.size))
 
     def __len__(self) -> int:
         return len(self.labels)

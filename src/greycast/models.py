@@ -19,12 +19,12 @@ from __future__ import annotations
 import enum
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulation import _check_order, accumulate, inverse_accumulate
+from .accumulation import _check_order, _check_series, accumulate, inverse_accumulate
+from .datasets import _labels, _whole
 from .errors import (
     DevelopmentCoefficientOutOfRange,
     GreycastError,
@@ -122,25 +122,12 @@ class OptParams:
     gamma: float
 
 
-def _whole(value) -> int:
-    """``int(value)`` for a value that already is a whole number."""
-    try:
-        out = int(value)
-    except OverflowError:  # an infinite float
-        out = None
-    if out is None or out != value:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return out
-
-
-def _labels(labels, n_total: int) -> tuple[int, ...]:
-    """One whole-number label per value, strictly increasing."""
-    out = tuple(_whole(v) for v in labels)
-    if len(out) != n_total:
-        raise ValueError(f"got {len(out)} labels for {n_total} values")
-    if not all(map(operator.lt, out, out[1:])):
-        raise ValueError("labels must be strictly increasing")
-    return out
+def _number(value) -> float:
+    """``float(value)`` for a JSON number; ``float`` would also take a str
+    or a bool, which a model document never holds."""
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -152,7 +139,8 @@ class FittedModel:
     variant is not optimised; x0 and every parameter are finite
     (NonFiniteResult); and 4 <= nu <= n_total (TooFewSamples).  Labels
     are checked where they are parsed, by :func:`fit` and
-    :meth:`from_dict`, so that building a model does not loop over them.
+    :meth:`from_dict` through :func:`greycast.datasets._labels`, so that
+    building a model does not loop over them.
     """
 
     variant: ModelVariant
@@ -220,8 +208,9 @@ class FittedModel:
         """Load a document written by :meth:`to_dict`.
 
         Raises ModelFileError for any document that :func:`fit` could not
-        have produced: a missing or malformed field (alpha/beta/gamma must
-        be all null or all numbers), or a model that breaks an invariant.
+        have produced: a missing or malformed field (parameters must be
+        JSON numbers, counts and labels whole numbers, and alpha/beta/gamma
+        all null or all numbers), or a model that breaks an invariant.
         """
         if not isinstance(doc, dict):
             raise ModelFileError("model document must be a JSON object")
@@ -234,11 +223,11 @@ class FittedModel:
             n_total = _whole(doc["n_total"])
             return cls(
                 variant=ModelVariant.from_tag(doc["variant"]),
-                r=float(doc["r"]),
-                base=BaseParams(float(doc["a"]), float(doc["b"]), float(doc["c"])),
+                r=_number(doc["r"]),
+                base=BaseParams(_number(doc["a"]), _number(doc["b"]), _number(doc["c"])),
                 opt=None if transform == (None, None, None)
-                else OptParams(*map(float, transform)),
-                x0=float(doc["x0"]),
+                else OptParams(*map(_number, transform)),
+                x0=_number(doc["x0"]),
                 nu=_whole(doc["nu"]),
                 n_total=n_total,
                 labels=_labels(doc["labels"], n_total),
@@ -280,12 +269,7 @@ def build_design(series_r, variant: ModelVariant, nu: int | None = None):
     series_r = np.asarray(series_r, dtype=float)
     if series_r.ndim not in (1, 2):
         raise ValueError("expected a 1-d accumulated series or an (n, B) batch of them")
-    size = series_r.shape[0]
-    nu = size if nu is None else int(nu)
-    if nu < 4:
-        raise TooFewSamples(f"need at least 4 samples to build the design, got nu={nu}")
-    if nu > size:
-        raise TooFewSamples(f"accumulated series has {size} samples, cannot use nu={nu}")
+    nu = _train_size(series_r.shape[0], nu)
     xr = series_r[:nu]
     k = np.arange(2, nu + 1).reshape((nu - 1,) + (1,) * (xr.ndim - 1))
     columns = (-(0.5 * (xr[:-1] + xr[1:])), (2 * k - 1) / 2.0, 1.0)
@@ -450,18 +434,22 @@ def time_response(model: FittedModel, k):
     return out
 
 
-def _training_window(values, nu: int | None):
-    """``values`` as a float array, and the number of leading samples to
-    train on: all of them when ``nu`` is None."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("expected a nonempty 1-d series")
-    nu = values.size if nu is None else int(nu)
+def _train_size(size: int, nu: int | None) -> int:
+    """The number of leading samples, of ``size``, to train on: all of them
+    when ``nu`` is None.  The one statement of the 4 <= nu <= size rule."""
+    nu = size if nu is None else int(nu)
     if nu < 4:
         raise TooFewSamples(f"need at least 4 training samples, got nu={nu}")
-    if nu > values.size:
-        raise TooFewSamples(f"series has {values.size} samples, cannot train on nu={nu}")
-    return values, nu
+    if nu > size:
+        raise TooFewSamples(f"series has {size} samples, cannot train on nu={nu}")
+    return nu
+
+
+def _training_window(values, nu: int | None):
+    """``values`` as a nonempty 1-d float array, and the number of leading
+    samples to train on."""
+    values = _check_series(values)
+    return values, _train_size(values.size, nu)
 
 
 def fit(
@@ -509,10 +497,13 @@ def predict(model: FittedModel, horizon: int = 0) -> np.ndarray:
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     total = model.n_total + horizon
-    xr_hat = time_response(model, np.arange(1, total + 1))
-    out = inverse_accumulate(xr_hat, model.r)
-    # A finite sum means every value is finite; the sum alone can overflow.
-    if not (math.isfinite(out.sum()) or np.isfinite(out).all()):
+    # An overflow ends in NonFiniteResult, so numpy's warnings add only noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xr_hat = time_response(model, np.arange(1, total + 1))
+        out = inverse_accumulate(xr_hat, model.r)
+        # A finite sum means every value is finite; the sum alone can overflow.
+        finite = math.isfinite(out.sum()) or np.isfinite(out).all()
+    if not finite:
         raise NonFiniteResult(f"restored value {np.argmin(np.isfinite(out)) + 1} overflows")
     return out
 

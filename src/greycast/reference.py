@@ -6,7 +6,9 @@ keyed by table, row and column.  ``run_case`` refits every recomputable
 column with this package and reports a per-cell verdict.  ENGM columns
 come from an externally defined model that is out of scope here, so
 they are carried for display and marked ``external`` rather than
-recomputed.
+recomputed.  Every cell, external or not, is built by :func:`_cell`, and
+external columns pass through the same loops as fitted ones with
+nothing computed.
 
 Tolerances per cell class: fitted/predicted values compare at 1e-3
 relative; percentage metrics at 0.02 points for the flagship optimised
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .datasets import load_bundled
+from .datasets import _extended_labels, load_bundled
 from .metrics import evaluate, relative_errors
 from .models import ModelVariant, alpha_gap, fit, predict
 
@@ -59,37 +61,15 @@ class CellCheck:
         return self.computed - self.expected_value
 
 
-def _cell(case, table, row, column, expected, computed, tol, kind) -> CellCheck:
+def _cell(case, table, row, column, expected, computed=None, tol=0.0, kind="value") -> CellCheck:
+    """The verdict on one cell.  With nothing computed the cell is external,
+    displayed only, and carries no tolerance."""
+    if computed is None:
+        return CellCheck(case, table, row, column, expected, None, 0.0, "value", "external")
     target = float(expected)
-    if kind == "value":
-        ok = abs(computed - target) <= tol * abs(target)
-    else:
-        ok = abs(computed - target) <= tol
-    return CellCheck(
-        case=case,
-        table=table,
-        row=row,
-        column=column,
-        expected=expected,
-        computed=computed,
-        tol=tol,
-        kind=kind,
-        status="pass" if ok else "fail",
-    )
-
-
-def _external(case, table, row, column, expected) -> CellCheck:
-    return CellCheck(
-        case=case,
-        table=table,
-        row=row,
-        column=column,
-        expected=expected,
-        computed=None,
-        tol=0.0,
-        kind="value",
-        status="external",
-    )
+    bound = tol * abs(target) if kind == "value" else tol
+    status = "pass" if abs(computed - target) <= bound else "fail"
+    return CellCheck(case, table, row, column, expected, computed, tol, kind, status)
 
 
 # --- parameter-gap table -------------------------------------------------
@@ -121,7 +101,8 @@ def check_table1() -> list[CellCheck]:
 
 # --- forecasting cases ---------------------------------------------------
 # Column spec: (column id, variant or None for external, order r,
-#               fitted/predicted values, {metric: expected}, pct tolerance)
+#               fitted/predicted values, {metric: expected},
+#               [per-period relative errors,] pct tolerance)
 
 OILFIELD_NU = 11
 OILFIELD_COLUMNS = (
@@ -277,74 +258,45 @@ NUCLEAR_COLUMNS = (
     ),
 )
 
-_METRIC_KIND = {
-    "rmspepr": "pct",
-    "rmspepo": "pct",
-    "rmspe": "pct",
-    "ia": "ia",
-    "ae": "mean_err",
-    "mae": "mean_err",
+# metric -> (kind, tolerance); None is the column's percentage tolerance
+_METRICS = {
+    "rmspepr": ("pct", None),
+    "rmspepo": ("pct", None),
+    "rmspe": ("pct", None),
+    "ia": ("ia", IA_TOL),
+    "ae": ("mean_err", MEAN_ERR_TOL),
+    "mae": ("mean_err", MEAN_ERR_TOL),
 }
 
 
-def _metric_tol(metric: str, pct_tol: float) -> float:
-    kind = _METRIC_KIND[metric]
-    if kind == "pct":
-        return pct_tol
-    if kind == "ia":
-        return IA_TOL
-    return MEAN_ERR_TOL
-
-
 def _check_forecast_case(case, table, nu, columns, horizon=0,
-                         relerr_table=None) -> list[CellCheck]:
+                         metric_table=None) -> list[CellCheck]:
     data = load_bundled(case)
     n = len(data)
-    row_labels = [str(lab) for lab in data.labels]
-    if horizon:
-        stride = data.labels[1] - data.labels[0]
-        row_labels += [str(data.labels[-1] + stride * (i + 1)) for i in range(horizon)]
+    row_labels = [str(lab) for lab in _extended_labels(data.labels, horizon)]
+    metric_table = metric_table or table
     cells: list[CellCheck] = []
-    for spec in columns:
-        column, variant, r_str, values, metric_map = spec[:5]
-        relerrs = spec[5] if relerr_table is not None else None
-        pct_tol = spec[-1]
+    for column, variant, r, values, metrics, *relerrs, pct_tol in columns:
         if variant is None:
-            for row, expected in zip(row_labels, values):
-                cells.append(_external(case, table, row, column, expected))
-            for metric, expected in metric_map.items():
-                cells.append(_external(case, relerr_table or table, metric, column, expected))
-            if relerrs:
-                for row, expected in zip(row_labels, relerrs):
-                    cells.append(
-                        _external(case, relerr_table, f"relerr:{row}", column, expected)
-                    )
-            continue
-        model = fit(data.values, float(r_str), variant, nu, labels=data.labels)
-        restored = predict(model, horizon)
-        for row, expected, got in zip(row_labels, values, restored):
-            cells.append(_cell(case, table, row, column, expected, float(got), VALUE_REL_TOL, "value"))
-        report = evaluate(data.values, restored[:n], nu)
-        for metric, expected in metric_map.items():
-            cells.append(
-                _cell(
-                    case,
-                    relerr_table or table,
-                    metric,
-                    column,
-                    expected,
-                    getattr(report, metric),
-                    _metric_tol(metric, pct_tol),
-                    _METRIC_KIND[metric],
-                )
-            )
-        if relerrs:
-            got_rel = relative_errors(data.values, restored[:n])
-            for row, expected, got in zip(row_labels, relerrs, got_rel):
-                cells.append(
-                    _cell(case, relerr_table, f"relerr:{row}", column, expected,
-                          float(got), RELERR_TOL, "relerr")
-                )
+            got_values = got_relerrs = [None] * len(row_labels)
+            report = None
+        else:
+            model = fit(data.values, float(r), variant, nu, labels=data.labels)
+            restored = predict(model, horizon)
+            got_values = restored.tolist()
+            report = evaluate(data.values, restored[:n], nu)
+            got_relerrs = relative_errors(data.values, restored[:n]).tolist()
+        for row, expected, got in zip(row_labels, values, got_values):
+            cells.append(_cell(case, table, row, column, expected, got, VALUE_REL_TOL))
+        for metric, expected in metrics.items():
+            kind, tol = _METRICS[metric]
+            got = None if report is None else getattr(report, metric)
+            cells.append(_cell(case, metric_table, metric, column, expected, got,
+                               pct_tol if tol is None else tol, kind))
+        for expected_relerrs in relerrs:  # zero or one row of them
+            for row, expected, got in zip(row_labels, expected_relerrs, got_relerrs):
+                cells.append(_cell(case, metric_table, f"relerr:{row}", column, expected,
+                                   got, RELERR_TOL, "relerr"))
     return cells
 
 

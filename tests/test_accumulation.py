@@ -175,6 +175,11 @@ class TestMatrices:
             back = inverse_accumulate(accumulate(x, r), r)
             assert np.max(np.abs(back - x) / np.abs(x)) < 1e-8
 
+    @pytest.mark.parametrize("matrix", [ago_matrix, iago_matrix])
+    def test_empty_matrix_rejected(self, matrix):
+        with pytest.raises(ValueError):
+            matrix(0, 1.0)
+
     def test_inverse_kernel_coeffs_match_matrix_row(self):
         m = iago_matrix(6, 0.77)
         np.testing.assert_array_equal(m[0], inverse_coeffs(0.77, 6))

@@ -287,6 +287,10 @@ class TestForecast:
             {"labels": list(range(2017, 2005, -1))},
             {"nu": 10.7},
             {"n_total": 12.5},
+            {"r": "1.1595"},
+            {"x0": "12.4"},
+            {"alpha": True},
+            {"labels": [True] + list(range(2007, 2018))},
         ],
     )
     def test_hostile_model_file_exits_2(self, nuclear_model, breakage, tmp_path, capsys):

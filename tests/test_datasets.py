@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from greycast.datasets import Series, load_bundled, parse_dataset
+from greycast.datasets import Series, _extended_labels, load_bundled, parse_dataset
 from greycast.errors import DatasetError, TooFewSamples
 
 
@@ -104,7 +104,35 @@ class TestSeries:
         with pytest.raises(ValueError):
             Series(labels=(1, 2), values=np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "labels",
+        [(1, 2), (2006.7, 2007.7, 2008.7), (3, 2, 1), (1, 1, 2), (True, 2, 3)],
+    )
+    def test_bad_labels_rejected(self, labels):
+        with pytest.raises(ValueError):
+            Series(labels=labels, values=np.array([1.0, 2.0, 3.0]))
+
+    def test_whole_number_float_labels_become_ints(self):
+        series = Series(labels=np.array([2001.0, 2003.0]), values=np.array([1.0, 2.0]))
+        assert series.labels == (2001, 2003)
+        assert all(type(label) is int for label in series.labels)
+
     def test_values_are_read_only(self):
         series = Series(labels=(1, 2), values=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             series.values[0] = 9.0
+
+
+class TestExtendedLabels:
+    @pytest.mark.parametrize(
+        "labels, horizon, want",
+        [
+            ((2006, 2007, 2008), 2, [2006, 2007, 2008, 2009, 2010]),
+            ((10, 20, 30), 0, [10, 20, 30]),
+            ((1, 3, 4, 5, 6), 2, [1, 3, 4, 5, 6, 7, 8]),  # the most common stride
+            ((1, 3, 4, 6, 7), 1, [1, 3, 4, 6, 7, 8]),  # a tie goes to the smaller one
+            ((5,), 2, [5, 6, 7]),
+        ],
+    )
+    def test_extends_by_the_modal_stride(self, labels, horizon, want):
+        assert _extended_labels(labels, horizon) == want

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -107,6 +108,8 @@ class TestBuildDesign:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             build_design([1.0, 2.0, 3.0], ModelVariant.GM11, 3)
+        with pytest.raises(TooFewSamples):
+            build_design([1.0, 2.0, 3.0, 4.0, 5.0], ModelVariant.GM11, 6)
 
     @staticmethod
     def column_stack_design(xr, variant, nu):
@@ -468,9 +471,12 @@ class TestPredict:
 
     def test_overflow_raises_and_large_finite_values_pass(self):
         model = fit(load_bundled("nuclear").values, 1.1595, ModelVariant.FAGMO11K, 10)
-        assert 1e236 < predict(model, 2000)[-1] < math.inf
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteResult, match="overflows"):
-            predict(model, 20000)
+        # An error filter turns any numpy warning into an exception.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 1e236 < predict(model, 2000)[-1] < math.inf
+            with pytest.raises(NonFiniteResult, match="overflows"):
+                predict(model, 20000)
 
     def test_negative_horizon_rejected(self):
         model = fit(load_bundled("nuclear").values, 1.0, ModelVariant.GM11, 10)
@@ -604,6 +610,13 @@ class TestSerialization:
             {"labels": list(range(2006, 2017)) + [2016]},
             {"labels": [2006.0] * 11 + [float("inf")]},
             {"labels": [v + 0.7 for v in range(2006, 2018)]},
+            {"labels": [True] + list(range(2007, 2018))},
+            {"nu": True},
+            {"r": "1.1595"},
+            {"a": " -0.1145 "},
+            {"x0": "12.4"},
+            {"alpha": True},
+            {"beta": [0.3555]},
         ):
             doc = dict(good)
             doc.update(breakage)
@@ -614,6 +627,11 @@ class TestSerialization:
         doc = self._model().to_dict()
         doc.update(nu=10.0, n_total=12.0)
         assert FittedModel.from_dict(doc) == self._model()
+
+    def test_accepts_integers_and_numpy_floats_for_parameters(self):
+        doc = self._model().to_dict()
+        doc.update(r=1, x0=np.float32(12.5))
+        assert FittedModel.from_dict(doc) == self._model(r=1.0, x0=12.5)
 
     def test_every_fitted_variant_loads(self):
         data = load_bundled("nuclear")

@@ -1,9 +1,10 @@
-"""Library output bytes against the digests recorded in tools/output_digest.txt.
+"""Output bytes against the digests recorded in tools/output_digest.txt.
 
-The full tool also hashes search profiles, 100x100 sweeps and CLI runs;
-this test recomputes only the library lines and the 30x30 sweep, which
-take about a second.  A change that means to alter outputs regenerates
-the file with ``python tools/output_digest.py . > tools/output_digest.txt``.
+The full tool also hashes search profiles, 100x100 sweeps and the other
+CLI runs; these tests recompute only the library lines, the 30x30 sweep
+and the ``reproduce`` runs, which take about two seconds together.  A
+change that means to alter outputs regenerates the file with
+``python tools/output_digest.py . > tools/output_digest.txt``.
 """
 
 import importlib.util
@@ -19,9 +20,11 @@ _spec = importlib.util.spec_from_file_location("output_digest", TOOLS / "output_
 tool = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tool)
 tool.gc = greycast
+tool.TREE = TOOLS.parent
 
 
-def test_library_and_small_sweep_match_the_recorded_digests(tmp_path, capsys):
+def recorded_lines() -> list[str]:
+    """The recorded digests, or a skip when they come from another platform."""
     recorded = (TOOLS / "output_digest.txt").read_text().splitlines()
     here = tool.platform_line()
     if recorded[0] != here:
@@ -29,8 +32,21 @@ def test_library_and_small_sweep_match_the_recorded_digests(tmp_path, capsys):
             f"digests were recorded on '{recorded[0]}', this is '{here}'; "
             "another numpy, BLAS or CPU may round differently"
         )
+    return recorded
+
+
+def test_library_and_small_sweep_match_the_recorded_digests(tmp_path, capsys):
+    recorded = recorded_lines()
     tool.digest_library()
     tool.digest_sweeps(tmp_path, seeds=())
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(greycast.ModelVariant) + 5 + 1
+    assert [line for line in lines if line not in recorded] == []
+
+
+def test_reproduce_runs_match_the_recorded_digests(tmp_path, capsys):
+    recorded = recorded_lines()
+    tool.digest_cli(tmp_path, [["reproduce", "--case", case] for case in greycast.CASES])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(greycast.CASES) == 4
     assert [line for line in lines if line not in recorded] == []

@@ -11,8 +11,9 @@ same bytes:
 
 The first line names the numpy build and machine.  ``output_digest.txt``
 next to this file holds the output for the tree it sits in;
-``tests/test_output_digest.py`` recomputes its library and 30x30 sweep
-lines, and a change that means to alter outputs writes the file again.
+``tests/test_output_digest.py`` recomputes its library, 30x30 sweep and
+``reproduce`` lines, and a change that means to alter outputs writes the
+file again.
 
 Covered: sweep CSVs at several seeds; the ``search_order`` result and
 profile CSV for each bundled series, search variant and objective;
@@ -146,7 +147,8 @@ def _tour(csv: str, variant: str, order: str, nu: int, seed: int) -> list[list[s
     ]
 
 
-def digest_cli(work: Path) -> None:
+def cli_commands(work: Path) -> list[list[str]]:
+    """Every CLI command digested, after writing the CSV files they read to ``work``."""
     # Relative paths keep the output free of the tree's location.
     nuclear = "nuclear.csv"
     (work / nuclear).write_bytes((Path(gc.datasets.__file__).parent / "data" / nuclear).read_bytes())
@@ -164,6 +166,12 @@ def digest_cli(work: Path) -> None:
         ["fit", nuclear, "--order", "1e6"],
         ["fit", "--help"],
     ]
+    return commands
+
+
+def digest_cli(work: Path, commands: list[list[str]]) -> None:
+    """Run each command on the tree's CLI in ``work`` and digest what it printed,
+    its exit code and the files it wrote."""
     env = dict(os.environ, PYTHONPATH=str(TREE / "src"), COLUMNS="80")
     for argv in commands:
         outputs = ("model.json", "forecast.csv", "surface.csv")
@@ -193,7 +201,7 @@ def main() -> None:
         digest_sweeps(work)
         digest_searches(work)
         digest_library()
-        digest_cli(work)
+        digest_cli(work, cli_commands(work))
 
 
 if __name__ == "__main__":
