@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .datasets import _whole
+
 __all__ = [
     "forward_coeffs",
     "inverse_coeffs",
@@ -56,7 +58,7 @@ def forward_coeffs(r, n) -> np.ndarray:
     array elements do.
     """
     r = _check_order(r)
-    n = int(n)
+    n = _whole(n)
     if n < 1:
         raise ValueError(f"kernel length must be >= 1, got {n}")
     w = 1.0
@@ -75,7 +77,7 @@ def inverse_coeffs(r, n) -> np.ndarray:
     vanishes, which the inverse property needs.
     """
     r = _check_order(r)
-    n = int(n)
+    n = _whole(n)
     if n < 1:
         raise ValueError(f"kernel length must be >= 1, got {n}")
     w = 1.0

@@ -46,6 +46,13 @@ def _order_arg(text: str):
     return "auto" if text == "auto" else _positive(text)
 
 
+def _order_step(text: str) -> float:
+    try:
+        return OrderSearchConfig(step=float(text)).step
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _fail(exc: Exception, code: int) -> int:
     print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     return code
@@ -191,7 +198,6 @@ def cmd_sweep(args) -> int:
             n_points=args.points,
             seed=args.seed,
         )
-        config.validate()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -270,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fitting.add_argument("--train", type=int, default=None, metavar="NU",
                          help="number of leading samples to fit on (default: all)")
-    fitting.add_argument("--order-step", type=_positive, default=0.0001,
+    fitting.add_argument("--order-step", type=_order_step, default=0.0001,
                          help="grid resolution for --order auto")
 
     p = sub.add_parser("fit", parents=[fitting], help="fit a model and write it as JSON")

@@ -4,7 +4,8 @@ This module owns the rules for period labels: :func:`_labels` checks
 them (whole numbers, strictly increasing, one per value) for
 :class:`Series`, :func:`~greycast.models.fit` and model files, and
 :func:`_extended_labels` continues them past the data for forecasts and
-the reference tables.
+the reference tables.  Its :func:`_whole` is the whole-number rule for
+labels and for every count the package takes.
 """
 
 from __future__ import annotations

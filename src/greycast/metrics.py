@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import _whole
 from .errors import LengthMismatch, NonFiniteResult, ZeroObserved
 
 __all__ = ["EvaluationReport", "evaluate", "relative_errors"]
@@ -79,7 +80,7 @@ def evaluate(observed, predicted, nu: int) -> EvaluationReport:
     """
     observed, predicted = _check_pair(observed, predicted)
     n = observed.size
-    nu = int(nu)
+    nu = _whole(nu)
     if not 1 <= nu <= n:
         raise ValueError(f"nu must be in [1, {n}], got {nu}")
     rel = (predicted - observed) / observed

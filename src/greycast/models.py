@@ -137,7 +137,7 @@ class FittedModel:
     passes the accumulation's order rule and is 1 for an order-locked
     variant (VariantOrderConflict); ``opt`` is None exactly when the
     variant is not optimised; x0 and every parameter are finite
-    (NonFiniteResult); and 4 <= nu <= n_total (TooFewSamples).  Labels
+    (NonFiniteResult); and nu passes :func:`_train_size`'s rule.  Labels
     are checked where they are parsed, by :func:`fit` and
     :meth:`from_dict` through :func:`greycast.datasets._labels`, so that
     building a model does not loop over them.
@@ -167,8 +167,7 @@ class FittedModel:
             and (opt is None or isfinite(opt.alpha) and isfinite(opt.beta) and isfinite(opt.gamma))
         ):
             raise NonFiniteResult(f"parameters must be finite, got x0={self.x0!r}, {base}, {opt}")
-        if not 4 <= self.nu <= self.n_total:
-            raise TooFewSamples(f"nu {self.nu} outside [4, n_total={self.n_total}]")
+        _train_size(self.n_total, self.nu)
 
     @property
     def active_params(self) -> tuple[float, float, float]:
@@ -436,8 +435,8 @@ def time_response(model: FittedModel, k):
 
 def _train_size(size: int, nu: int | None) -> int:
     """The number of leading samples, of ``size``, to train on: all of them
-    when ``nu`` is None.  The one statement of the 4 <= nu <= size rule."""
-    nu = size if nu is None else int(nu)
+    when ``nu`` is None.  The one statement of the whole 4 <= nu <= size rule."""
+    nu = size if nu is None else _whole(nu)
     if nu < 4:
         raise TooFewSamples(f"need at least 4 training samples, got nu={nu}")
     if nu > size:
@@ -493,7 +492,7 @@ def predict(model: FittedModel, horizon: int = 0) -> np.ndarray:
     anchored initial value exactly.  Raises NonFiniteResult when a value
     overflows; finite values, however large, are returned.
     """
-    horizon = int(horizon)
+    horizon = _whole(horizon)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     total = model.n_total + horizon
@@ -517,7 +516,7 @@ def discretization_gap(model: FittedModel, k: int) -> float:
     the whitening equation and its discretisation; for optimised
     variants the transform cancels it, leaving roundoff.
     """
-    k = int(k)
+    k = _whole(k)
     if k < 2:
         raise ValueError(f"gap is defined for k >= 2, got {k}")
     x_prev = time_response(model, k - 1)

@@ -71,8 +71,17 @@ RESCORE = 32
 CHUNK_ELEMENTS = 1 << 14
 
 
-@dataclass
+#: Most orders one grid may hold: 500 times the default grid's 19,901,
+#: about 160 MB for the orders and their scores.
+MAX_GRID = 10**7
+
+
+@dataclass(frozen=True)
 class OrderSearchConfig:
+    """Grid, objective, variant and training window of :func:`search_order`,
+    checked when built: 0 < r_min < r_max < inf, a finite step > 0 giving at
+    most MAX_GRID orders and an objective in OBJECTIVES; the search checks nu."""
+
     r_min: float = 0.01
     r_max: float = 2.0
     step: float = 0.0001
@@ -80,13 +89,15 @@ class OrderSearchConfig:
     variant: ModelVariant = ModelVariant.FAGMO11K
     nu: int | None = None
 
-    def validate(self) -> None:
-        if not (0 < self.r_min < self.r_max):
+    def __post_init__(self):
+        if not (0 < self.r_min < self.r_max < math.inf):
             raise ValueError(
-                f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]"
+                f"need 0 < r_min < r_max < inf, got [{self.r_min}, {self.r_max}]"
             )
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be > 0, got {self.step!r}")
+        if _grid_size(self) > MAX_GRID:
+            raise ValueError(f"step {self.step!r} gives more than {MAX_GRID} orders")
         if self.objective not in OBJECTIVES:
             raise ValueError(
                 f"objective must be one of {OBJECTIVES}, got {self.objective!r}"
@@ -102,22 +113,28 @@ class OrderSearchResult:
     n_failed: int
 
 
+def _grid_size(cfg: OrderSearchConfig):
+    """Number of orders in the grid; inf when the step is too fine to count them."""
+    span = (cfg.r_max - cfg.r_min) / cfg.step + 1e-9
+    return math.floor(span) + 1 if span < math.inf else math.inf
+
+
 def _grid(cfg: OrderSearchConfig) -> np.ndarray:
     # Index-based so that halving the step yields a bitwise superset grid.
-    count = int(math.floor((cfg.r_max - cfg.r_min) / cfg.step + 1e-9)) + 1
-    return cfg.r_min + np.arange(count) * cfg.step
+    return cfg.r_min + np.arange(_grid_size(cfg)) * cfg.step
 
 
-def _sum0(a: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis in index order.
+def _sum0(arrays) -> np.ndarray:
+    """Sum of equal-shaped arrays (the rows of an array, say) in the order given.
 
     Spelled out so that each output element is always added up the same
     way, whatever the shape or memory layout of the batch it sits in;
     numpy's own reductions may regroup terms (pairwise summation).
     """
-    out = a[0].copy()
-    for row in a[1:]:
-        out += row
+    arrays = iter(arrays)
+    out = next(arrays).copy()
+    for a in arrays:
+        out += a
     return out
 
 
@@ -183,12 +200,8 @@ def _fit_chunk(x, r, variant: ModelVariant, nu: int):
     scale = _column_scale(B)
     B /= scale
     # normal equations, summed row by row
-    m = B.shape[1]
-    G = np.zeros((m, m, r.size))
-    h = np.zeros((m, r.size))
-    for row, d_row in zip(B, d):
-        G += row[:, None] * row[None, :]
-        h += row * d_row
+    G = _sum0(row[:, None] * row[None, :] for row in B)
+    h = _sum0(row * d_row for row, d_row in zip(B, d))
     phi, failed = _solve_batch(G, h)
     p, q, g = _place(phi / scale, variant)
     if variant.optimized:
@@ -249,7 +262,6 @@ def search_order(values, config: OrderSearchConfig | None = None, profile_path=N
     every grid point fails.
     """
     cfg = config if config is not None else OrderSearchConfig()
-    cfg.validate()
     values, nu = _training_window(values, cfg.nu)
     _check_pair(values, values)  # a 0, NaN or inf makes evaluate reject every order
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .accumulation import inverse_accumulate
+from .accumulation import _check_order, inverse_accumulate
+from .datasets import _whole
 from .errors import GreycastError
 from .metrics import _check_pair, _rms_pct
 from .models import FittedModel, ModelVariant, _response, fit, optimize_params, predict
@@ -59,7 +60,7 @@ def generate_synthetic(r, alpha, beta, gamma, x0, n) -> np.ndarray:
     """Raw series whose order-r accumulation satisfies the optimised
     response exactly: evaluate the response for k = 1..n, then restore
     with the inverse accumulation."""
-    n = int(n)
+    n = _whole(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if alpha == 0:
@@ -75,8 +76,12 @@ def eps_params(estimated, truth) -> float:
     return (p - a) ** 2 + (l - b) ** 2 + (q - c) ** 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
+    """The (r, alpha) grid, series length and seed of :func:`run_sweep`,
+    checked when built: ascending grids of orders and of finite alphas
+    outside the dead zone, a whole n_points >= 5 and a whole 64-bit seed."""
+
     r_grid: tuple[float, ...]
     alpha_grid: tuple[float, ...]
     n_points: int = 11
@@ -100,20 +105,18 @@ class SweepConfig:
         )
         return cls(r_grid=r_grid, alpha_grid=alpha_grid, n_points=n_points, seed=seed)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if len(self.r_grid) == 0 or len(self.alpha_grid) == 0:
             raise ValueError("grids must be nonempty")
-        if list(self.r_grid) != sorted(self.r_grid) or list(self.alpha_grid) != sorted(
-            self.alpha_grid
-        ):
+        if any(list(grid) != sorted(grid) for grid in (self.r_grid, self.alpha_grid)):
             raise ValueError("grids must be sorted ascending")
-        if any(r <= 0 for r in self.r_grid):
-            raise ValueError("r grid must be positive")
-        if any(abs(a) < ALPHA_DEAD_ZONE for a in self.alpha_grid):
-            raise ValueError(f"alpha grid enters the dead zone |alpha| < {ALPHA_DEAD_ZONE}")
-        if self.n_points < 5:
+        for r in self.r_grid:
+            _check_order(r)
+        if not all(ALPHA_DEAD_ZONE <= abs(a) < math.inf for a in self.alpha_grid):
+            raise ValueError(f"alpha grid must be finite, with |alpha| >= {ALPHA_DEAD_ZONE}")
+        if _whole(self.n_points) < 5:
             raise ValueError(f"n_points must be >= 5, got {self.n_points}")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= _whole(self.seed) < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
@@ -134,7 +137,6 @@ def run_sweep(config: SweepConfig) -> list[SweepCell]:
     Cells are mutually independent (safe to parallelise); this runner
     walks them in grid order.
     """
-    config.validate()
     cells: list[SweepCell] = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i, r in enumerate(config.r_grid):
@@ -194,18 +196,12 @@ def write_sweep_csv(cells, path) -> None:
 
 def sweep_summary(cells) -> dict:
     ok = [c for c in cells if c.status == "ok"]
-    failed = len(cells) - len(ok)
-
-    def _max(vals):
-        vals = list(vals)
-        return max(vals) if vals else math.nan
-
     return {
         "cells": len(cells),
         "ok": len(ok),
-        "fit_failed": failed,
-        "max_eps_fagm": _max(c.eps_fagm for c in ok),
-        "max_eps_fagmo": _max(c.eps_fagmo for c in ok),
-        "max_rmspe_fagm": _max(c.rmspe_fagm for c in ok),
-        "max_rmspe_fagmo": _max(c.rmspe_fagmo for c in ok),
+        "fit_failed": len(cells) - len(ok),
+        "max_eps_fagm": max((c.eps_fagm for c in ok), default=math.nan),
+        "max_eps_fagmo": max((c.eps_fagmo for c in ok), default=math.nan),
+        "max_rmspe_fagm": max((c.rmspe_fagm for c in ok), default=math.nan),
+        "max_rmspe_fagmo": max((c.rmspe_fagmo for c in ok), default=math.nan),
     }

@@ -76,6 +76,15 @@ class TestInvBinomial:
             inverse_coeffs(float("nan"), 2)
 
 
+@pytest.mark.parametrize("coeffs", [forward_coeffs, inverse_coeffs])
+def test_kernel_length_must_be_a_whole_number(coeffs):
+    for n in (3.9, "4", True):
+        with pytest.raises(ValueError):
+            coeffs(0.7, n)
+    want = coeffs(0.7, 4).tobytes()
+    assert coeffs(0.7, 4.0).tobytes() == coeffs(0.7, np.int64(4)).tobytes() == want
+
+
 class TestConvolutionOperators:
     def test_order_one_is_cumulative_sum(self):
         np.testing.assert_array_equal(accumulate([1, 2, 3], 1), [1.0, 3.0, 6.0])

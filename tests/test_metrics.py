@@ -157,6 +157,16 @@ def test_nu_bounds_checked():
         evaluate([1.0, 2.0], [1.0, 2.0], 3)
 
 
+def test_nu_must_be_a_whole_number():
+    observed, predicted = [1.0, 2.0, 4.0], [1.1, 2.2, 4.4]
+    for nu in (1.5, "2", True):
+        with pytest.raises(ValueError):
+            evaluate(observed, predicted, nu)
+    want = evaluate(observed, predicted, 2)
+    assert repr(evaluate(observed, predicted, 2.0)) == repr(want)
+    assert repr(evaluate(observed, predicted, np.int64(2))) == repr(want)
+
+
 def test_report_serialization_carries_ratios():
     report = evaluate([1.0, 2.0, 4.0], [1.1, 2.2, 4.4], 2)
     doc = report.to_dict()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -405,6 +406,17 @@ class TestFit:
         with pytest.raises(TooFewSamples):
             fit([1.0, 2.0, 3.0, 4.0], 1.0, ModelVariant.GM11, 6)
 
+    @pytest.mark.parametrize("nu", [10.7, "10", True])
+    def test_nu_must_be_a_whole_number(self, nu):
+        with pytest.raises(ValueError):
+            fit(load_bundled("nuclear").values, 1.1595, ModelVariant.FAGMO11K, nu)
+
+    @pytest.mark.parametrize("nu", [10.0, np.int64(10)])
+    def test_whole_number_nu_gives_the_same_model(self, nu):
+        values = load_bundled("nuclear").values
+        got, want = (fit(values, 1.1595, ModelVariant.FAGMO11K, v).to_dict() for v in (nu, 10))
+        assert json.dumps(got) == json.dumps(want)
+
     def test_singular_design_propagates(self):
         with pytest.raises(SingularDesign):
             fit([1.0, 1.0, 1.0, 1.0], 1.0, ModelVariant.FAGM11K, 4)
@@ -483,6 +495,14 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(model, -1)
 
+    def test_horizon_must_be_a_whole_number(self):
+        model = fit(load_bundled("nuclear").values, 1.1595, ModelVariant.FAGMO11K, 10)
+        for horizon in (2.5, "3", True):
+            with pytest.raises(ValueError):
+                predict(model, horizon)
+        want = predict(model, 3).tobytes()
+        assert predict(model, 3.0).tobytes() == predict(model, np.int64(3)).tobytes() == want
+
 
 class TestDiscretizationGap:
     def test_optimised_parameters_cancel_the_gap(self):
@@ -514,6 +534,8 @@ class TestDiscretizationGap:
         model = fit(load_bundled("nuclear").values, 1.0, ModelVariant.GM11, 10)
         with pytest.raises(ValueError):
             discretization_gap(model, 1)
+        with pytest.raises(ValueError):
+            discretization_gap(model, 2.5)
 
 
 class TestReductions:
@@ -623,6 +645,15 @@ class TestSerialization:
             with pytest.raises(ModelFileError):
                 FittedModel.from_dict(doc)
 
+    @pytest.mark.parametrize("nu", [3, 13])
+    def test_bad_nu_gives_the_message_of_fit(self, nu):
+        doc = self._model().to_dict()
+        doc["nu"] = nu
+        with pytest.raises(TooFewSamples) as fitted:
+            fit(np.arange(1.0, 13.0), 1.1595, ModelVariant.FAGMO11K, nu)
+        with pytest.raises(ModelFileError, match=re.escape(str(fitted.value))):
+            FittedModel.from_dict(doc)
+
     def test_accepts_whole_number_floats_for_counts(self):
         doc = self._model().to_dict()
         doc.update(nu=10.0, n_total=12.0)
@@ -674,6 +705,7 @@ class TestInvariants:
             ({"opt": OptParams(-0.1147, 0.3555, -math.inf)}, NonFiniteResult),
             ({"nu": 3}, TooFewSamples),
             ({"nu": 13}, TooFewSamples),
+            ({"nu": 10.5}, ValueError),
         ],
     )
     def test_each_broken_invariant_raises_its_error(self, overrides, error):
@@ -687,6 +719,8 @@ class TestInvariants:
             replace(model, x0=math.nan)
         with pytest.raises(ValueError):
             replace(model, variant=ModelVariant.FAGM11K)
+        with pytest.raises(ValueError):
+            replace(model, nu=10.5)
 
 
 @st.composite

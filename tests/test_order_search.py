@@ -1,5 +1,6 @@
 """Grid search for the fractional order."""
 
+import dataclasses
 import functools
 import math
 
@@ -111,6 +112,27 @@ def test_config_validation():
         search_order([1.0, 2.0, 3.0, 4.0], OrderSearchConfig(step=0.0))
     with pytest.raises(ValueError):
         search_order([1.0, 2.0, 3.0, 4.0], OrderSearchConfig(objective="mape"))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"r_max": math.inf}, {"r_min": math.nan}, {"step": math.nan}, {"step": 1e-12},
+     {"step": 5e-324}, {"r_min": 1.0, "r_max": order_search.MAX_GRID + 1.0, "step": 1.0}],
+)
+def test_bad_config_raises_when_built(fields):
+    with pytest.raises(ValueError):
+        OrderSearchConfig(**fields)
+
+
+def test_grid_may_hold_max_grid_orders():
+    cfg = OrderSearchConfig(r_min=1.0, r_max=float(order_search.MAX_GRID), step=1.0)
+    assert order_search._grid_size(cfg) == order_search.MAX_GRID
+    assert order_search._grid_size(OrderSearchConfig()) == 19901
+
+
+def test_config_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        OrderSearchConfig().step = 0.5
 
 
 @pytest.mark.parametrize("nu", [3, 6])

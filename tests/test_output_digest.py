@@ -1,9 +1,10 @@
 """Output bytes against the digests recorded in tools/output_digest.txt.
 
-The full tool also hashes search profiles, 100x100 sweeps and the other
-CLI runs; these tests recompute only the library lines, the 30x30 sweep
-and the ``reproduce`` runs, which take about two seconds together.  A
-change that means to alter outputs regenerates the file with
+The full tool also hashes the other searches, 100x100 sweeps and the
+other CLI runs; these tests recompute only the library lines, the 30x30
+sweep, the nuclear searches and the ``reproduce`` runs, which take about
+three seconds together.  A change that means to alter outputs
+regenerates the file with
 ``python tools/output_digest.py . > tools/output_digest.txt``.
 """
 
@@ -49,4 +50,14 @@ def test_reproduce_runs_match_the_recorded_digests(tmp_path, capsys):
     tool.digest_cli(tmp_path, [["reproduce", "--case", case] for case in greycast.CASES])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(greycast.CASES) == 4
+    assert [line for line in lines if line not in recorded] == []
+
+
+def test_nuclear_searches_match_the_recorded_digests(tmp_path, capsys):
+    # The kernel's bits reach the profile CSVs; the scalar scan tests
+    # compare those values only to a relative 1e-4.
+    recorded = recorded_lines()
+    tool.digest_searches(tmp_path, names=("nuclear",))
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(tool.SEARCH_VARIANTS) * 2 * 2 * 2 == 24
     assert [line for line in lines if line not in recorded] == []

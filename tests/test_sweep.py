@@ -1,6 +1,7 @@
 """Stochastic parameter-recovery sweep."""
 
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -60,6 +61,13 @@ class TestGenerateSynthetic:
     def test_rejects_zero_alpha(self):
         with pytest.raises(ValueError):
             generate_synthetic(1.0, 0.0, 1.0, 1.0, 1.0, 11)
+
+    def test_length_must_be_a_whole_number(self):
+        with pytest.raises(ValueError):
+            generate_synthetic(0.8, -0.4, 2.0, 30.0, 1.7, 6.5)
+        want = generate_synthetic(0.8, -0.4, 2.0, 30.0, 1.7, 6)
+        for n in (6.0, np.int64(6)):
+            assert generate_synthetic(0.8, -0.4, 2.0, 30.0, 1.7, n).tobytes() == want.tobytes()
 
 
 class TestEpsParams:
@@ -136,15 +144,41 @@ class TestConfig:
     def test_validation_rejects_bad_grids(self):
         good = small_config()
         with pytest.raises(ValueError):
-            SweepConfig(r_grid=(), alpha_grid=good.alpha_grid).validate()
+            SweepConfig(r_grid=(), alpha_grid=good.alpha_grid)
         with pytest.raises(ValueError):
-            SweepConfig(r_grid=(1.0, 0.5), alpha_grid=good.alpha_grid).validate()
+            SweepConfig(r_grid=(1.0, 0.5), alpha_grid=good.alpha_grid)
         with pytest.raises(ValueError):
-            SweepConfig(r_grid=good.r_grid, alpha_grid=(0.001, 0.5)).validate()
+            SweepConfig(r_grid=good.r_grid, alpha_grid=(0.001, 0.5))
         with pytest.raises(ValueError):
-            SweepConfig(r_grid=good.r_grid, alpha_grid=good.alpha_grid, n_points=4).validate()
+            SweepConfig(r_grid=good.r_grid, alpha_grid=good.alpha_grid, n_points=4)
         with pytest.raises(ValueError):
             SweepConfig.regular(r_steps=0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"r_grid": (0.5, math.inf)}, {"r_grid": (0.5, math.nan)}, {"r_grid": (0.0, 0.5)},
+         {"alpha_grid": (0.5, math.nan)}, {"alpha_grid": (0.5, math.inf)}, {"n_points": 6.5},
+         {"seed": 1.7}, {"seed": "5"}, {"seed": True}, {"seed": -1}, {"seed": 2**64}],
+    )
+    def test_bad_input_raises_when_built(self, fields):
+        with pytest.raises(ValueError):
+            replace(small_config(), **fields)
+
+    def test_config_is_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            small_config().seed = 1
+
+    @pytest.mark.parametrize(
+        "seed, n_points",
+        [(5.0, 11), (np.uint64(5), 11), (5, 11.0), (np.int64(5), np.int64(11))],
+    )
+    def test_whole_number_counts_give_the_same_csv(self, seed, n_points, tmp_path):
+        def csv(seed, n_points):
+            path = tmp_path / "sweep.csv"
+            write_sweep_csv(run_sweep(SweepConfig.regular(6, 6, n_points, seed)), path)
+            return path.read_bytes()
+
+        assert csv(seed, n_points) == csv(5, 11)
 
 
 # --- one fit per cell against the two-fit cell it replaced ---------------

@@ -11,9 +11,9 @@ same bytes:
 
 The first line names the numpy build and machine.  ``output_digest.txt``
 next to this file holds the output for the tree it sits in;
-``tests/test_output_digest.py`` recomputes its library, 30x30 sweep and
-``reproduce`` lines, and a change that means to alter outputs writes the
-file again.
+``tests/test_output_digest.py`` recomputes its library, 30x30 sweep,
+nuclear search and ``reproduce`` lines, and a change that means to alter
+outputs writes the file again.
 
 Covered: sweep CSVs at several seeds; the ``search_order`` result and
 profile CSV for each bundled series, search variant and objective;
@@ -74,8 +74,10 @@ def digest_sweeps(work: Path, seeds=SWEEP_SEEDS) -> None:
     emit("sweep 30x30 n_points=6 seed=5", path.read_bytes())
 
 
-def digest_searches(work: Path) -> None:
-    for name in ("oilfield", "nuclear", "settlement"):
+def digest_searches(work: Path, names=("oilfield", "nuclear", "settlement")) -> None:
+    """Result and profile CSV of each search variant, objective and window on each
+    bundled series in ``names``."""
+    for name in names:
         values = gc.load_bundled(name).values
         for tag in SEARCH_VARIANTS:
             variant = gc.ModelVariant(tag)
