@@ -47,6 +47,11 @@ class EvaluationReport:
         }
 
 
+def _unscorable(observed: np.ndarray) -> np.ndarray:
+    """Where an observed value gives no relative error: 0, or not finite."""
+    return (observed == 0) | ~np.isfinite(observed)
+
+
 def _check_pair(observed, predicted) -> tuple[np.ndarray, np.ndarray]:
     observed = np.asarray(observed, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
@@ -58,7 +63,7 @@ def _check_pair(observed, predicted) -> tuple[np.ndarray, np.ndarray]:
         )
     if observed.size == 0:
         raise ValueError("series are empty")
-    bad = (observed == 0) | ~np.isfinite(observed)
+    bad = _unscorable(observed)
     if bad.any():
         k = int(bad.argmax())
         if observed[k] == 0:
@@ -67,9 +72,12 @@ def _check_pair(observed, predicted) -> tuple[np.ndarray, np.ndarray]:
     return observed, predicted
 
 
-def _rms_pct(rel: np.ndarray) -> float:
-    """Root mean square of relative errors, in percent."""
-    return float(np.sqrt(np.mean(rel**2)) * 100.0)
+def _rms_pct(rel: np.ndarray):
+    """Root mean square of relative errors, in percent: a float for a 1-d
+    series, a list of floats for the rows of a C-contiguous (B, n) batch,
+    whose row sums round as the 1-d sum does.  The mean is spelled as
+    ``np.mean`` computes it, without its Python-level wrapper."""
+    return (np.sqrt(np.add.reduce(rel**2, axis=-1) / rel.shape[-1]) * 100.0).tolist()
 
 
 def evaluate(observed, predicted, nu: int) -> EvaluationReport:

@@ -137,10 +137,11 @@ class FittedModel:
     passes the accumulation's order rule and is 1 for an order-locked
     variant (VariantOrderConflict); ``opt`` is None exactly when the
     variant is not optimised; x0 and every parameter are finite
-    (NonFiniteResult); and nu passes :func:`_train_size`'s rule.  Labels
-    are checked where they are parsed, by :func:`fit` and
-    :meth:`from_dict` through :func:`greycast.datasets._labels`, so that
-    building a model does not loop over them.
+    (NonFiniteResult); n_total is a whole number, one per label; and nu
+    passes :func:`_train_size`'s rule.  The labels themselves are checked
+    where they are parsed, by :func:`fit` and :meth:`from_dict` through
+    :func:`greycast.datasets._labels`, so that building a model does not
+    loop over them.
     """
 
     variant: ModelVariant
@@ -167,6 +168,8 @@ class FittedModel:
             and (opt is None or isfinite(opt.alpha) and isfinite(opt.beta) and isfinite(opt.gamma))
         ):
             raise NonFiniteResult(f"parameters must be finite, got x0={self.x0!r}, {base}, {opt}")
+        if len(self.labels) != _whole(self.n_total):
+            raise ValueError(f"got {len(self.labels)} labels for n_total={self.n_total!r}")
         _train_size(self.n_total, self.nu)
 
     @property
@@ -405,17 +408,31 @@ def alpha_gap(a: float) -> float:
     return math.log((2 + a) / (2 - a)) - a
 
 
-def _response(x0, p, q, g, k):
-    """Closed-form response at float time indices ``k``, anchored to x0 at k = 1.
+def _response_terms(x0, p, q, g):
+    """The parameter terms of the response: the bracketed constant, q/p,
+    q/p**2 and g/p, on floats or on arrays of parameter sets.
 
-    The single copy of the formula: :func:`time_response`, the sweep's
-    synthetic series and the order-search kernel all call it.  Parameters
-    and ``k`` broadcast, so ``k`` of shape (n, 1) against parameters of
-    shape (B,) gives one column per parameter set.
+    With :func:`_response` this is the single copy of the formula.  The two
+    steps are apart because a float ``p**2`` goes through libm ``pow`` while
+    an array's is ``p*p``, and the two differ in the last bit: the sweep
+    takes these terms per cell on floats, as :func:`time_response` does, and
+    evaluates a whole row of cells at once.
     """
-    # Bracketed constant computed once so repeated calls agree bitwise.
-    const = x0 - q / p + q / p**2 - g / p
-    out = const * np.exp(-p * (k - 1)) + q / p * k - q / p**2 + g / p
+    qp, qp2, gp = q / p, q / p**2, g / p
+    return x0 - qp + qp2 - gp, qp, qp2, gp
+
+
+def _response(x0, p, terms, k):
+    """Closed-form response at float time indices ``k``, anchored to x0 at k = 1,
+    from :func:`_response_terms` of the same x0 and (p, q, g).
+
+    :func:`time_response`, the sweep and the order-search kernel all call
+    both steps.  Parameters, terms and ``k`` broadcast, so ``k`` of shape
+    (n, 1) against parameters of shape (B,) gives one column per parameter
+    set.
+    """
+    const, qp, qp2, gp = terms
+    out = const * np.exp(-p * (k - 1)) + qp * k - qp2 + gp
     return np.where(k == 1, x0, out)
 
 
@@ -427,7 +444,8 @@ def time_response(model: FittedModel, k):
     karr = np.asarray(k, dtype=float)
     if np.any(karr < 1):
         raise ValueError("time index must be >= 1")
-    out = _response(model.x0, *model.active_params, karr)
+    p, q, g = model.active_params
+    out = _response(model.x0, p, _response_terms(model.x0, p, q, g), karr)
     if np.isscalar(k) or np.ndim(k) == 0:
         return float(out)
     return out

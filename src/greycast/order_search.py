@@ -54,8 +54,8 @@ import numpy as np
 from .errors import GreycastError, NoFeasibleOrder
 from .metrics import _check_pair, evaluate
 from .models import (
-    REL_PIVOT_TOL, ModelVariant, _column_scale, _place, _response, _training_window,
-    _transform, build_design, fit, predict,
+    REL_PIVOT_TOL, ModelVariant, _column_scale, _place, _response, _response_terms,
+    _training_window, _transform, build_design, fit, predict,
 )
 
 __all__ = ["OrderSearchConfig", "OrderSearchResult", "search_order"]
@@ -80,7 +80,8 @@ MAX_GRID = 10**7
 class OrderSearchConfig:
     """Grid, objective, variant and training window of :func:`search_order`,
     checked when built: 0 < r_min < r_max < inf, a finite step > 0 giving at
-    most MAX_GRID orders and an objective in OBJECTIVES; the search checks nu."""
+    most MAX_GRID orders, an objective in OBJECTIVES and a ModelVariant; the
+    search checks nu."""
 
     r_min: float = 0.01
     r_max: float = 2.0
@@ -102,6 +103,8 @@ class OrderSearchConfig:
             raise ValueError(
                 f"objective must be one of {OBJECTIVES}, got {self.objective!r}"
             )
+        if not isinstance(self.variant, ModelVariant):
+            raise ValueError(f"variant must be a ModelVariant, got {self.variant!r}")
 
 
 @dataclass(frozen=True)
@@ -218,7 +221,7 @@ def _score_chunk(x, r, variant: ModelVariant, nu: int, objective: str) -> np.nda
     p, q, g, failed = _fit_chunk(x, r, variant, nu)
     # time_response -> predict
     kk = np.arange(1, n + 1, dtype=float)[:, None]
-    xr_hat = _response(x[0], p, q, g, kk)
+    xr_hat = _response(x[0], p, _response_terms(x[0], p, q, g), kk)
     restored = _convolve(_kernels(r, n, forward=False), xr_hat)
     # evaluate
     rel = (restored - x[:, None]) / x[:, None]

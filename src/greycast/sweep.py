@@ -8,10 +8,19 @@ the restored values.  The optimised transform removes the trapezoid
 discretisation mismatch, so its recovery error sits at roundoff level
 while the plain model's error grows with |alpha|.
 
-The least-squares fit runs once per cell.  The plain and optimised
-variants solve the same design, so the optimised (alpha, beta, gamma)
-come from the plain model's (a, b, c), exactly as
-:func:`~greycast.models.fit` computes them for the optimised variant.
+The sweep runs one r row of the grid at a time.  The accumulation
+kernels of the row are built once.  The response's evaluation, the
+design, its column scaling, the normal matrices and the RMSPE each run
+once over the whole row, because their batched forms give the same bits
+as the scalar calls.  Everything else stays per cell, because no batched
+form of it does: the response's parameter terms (a float ``**`` goes
+through libm ``pow``, an array's is ``x*x``), each ``np.convolve``, the
+pivoted solve, and the transform to (alpha, beta, gamma).  The plain and
+optimised variants solve the same design, so the least-squares solve
+runs once per cell, and the optimised parameters come from the plain
+model's (a, b, c), exactly as :func:`~greycast.models.fit` computes them
+for the optimised variant.  The CSV bytes are therefore those of a cell
+built with ``generate_synthetic``, ``fit``, ``predict`` and ``evaluate``.
 
 Determinism: every cell owns a PCG64 generator seeded with
 ``SeedSequence([seed, r_index, alpha_index])`` (numpy's default_rng),
@@ -23,15 +32,20 @@ are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulation import _check_order, inverse_accumulate
+from .accumulation import _check_order, forward_coeffs, inverse_accumulate, inverse_coeffs
 from .datasets import _whole
 from .errors import GreycastError
-from .metrics import _check_pair, _rms_pct
-from .models import FittedModel, ModelVariant, _response, fit, optimize_params, predict
+from .metrics import _rms_pct, _unscorable
+# fit is not called here, but perfbench's tracer test looks it up as
+# greycast.sweep.fit.
+from .models import (
+    BaseParams, ModelVariant, _column_scale, _place, _response, _response_terms,
+    _solve_pivoted, build_design, fit, optimize_params,
+)
 
 __all__ = [
     "SweepConfig",
@@ -65,7 +79,8 @@ def generate_synthetic(r, alpha, beta, gamma, x0, n) -> np.ndarray:
         raise ValueError(f"need n >= 2, got {n}")
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    xr = _response(x0, alpha, beta, gamma, np.arange(1.0, n + 1))
+    terms = _response_terms(x0, alpha, beta, gamma)
+    xr = _response(x0, alpha, terms, np.arange(1.0, n + 1))
     return inverse_accumulate(xr, r)
 
 
@@ -134,53 +149,100 @@ class SweepCell:
 def run_sweep(config: SweepConfig) -> list[SweepCell]:
     """Evaluate every (r, alpha) cell; failures are recorded, not fatal.
 
-    Cells are mutually independent (safe to parallelise); this runner
-    walks them in grid order.
+    Cells are mutually independent; this runner walks them one r row at a
+    time, in grid order (see the module docstring for what runs per row
+    and what per cell).  A cell is ``fit_failed`` exactly where
+    ``generate_synthetic``, ``fit``, ``predict`` or ``evaluate`` would
+    raise a GreycastError for it, or its recovery error is not finite:
+    a singular design, a = 0 or |a| >= 2, a non-finite parameter or
+    restored value, or a synthetic series with a 0 or non-finite value.
     """
+    n = _whole(config.n_points)
+    seed = int(config.seed)
+    alphas = [float(alpha) for alpha in config.alpha_grid]
     cells: list[SweepCell] = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i, r in enumerate(config.r_grid):
-            for j, alpha in enumerate(config.alpha_grid):
-                rng = np.random.default_rng([int(config.seed), i, j])
-                beta = rng.uniform(*BETA_RANGE)
-                gamma = rng.uniform(*GAMMA_RANGE)
-                x0 = rng.uniform(*X0_RANGE)
-                cells.append(
-                    _run_cell(float(r), float(alpha), beta, gamma, x0, config.n_points)
-                )
+            draws = [_draw(seed, i, j) for j in range(len(alphas))]
+            cells += _sweep_row(float(r), alphas, draws, n)
     return cells
 
 
-def _as_optimised(plain: FittedModel) -> FittedModel:
-    """What ``fit(raw, r, FAGMO11K, nu)`` returns, given the FAGM11K fit
-    of the same arguments: both variants solve the same design, so only
-    the optimised transform is left to compute."""
-    return replace(plain, variant=ModelVariant.FAGMO11K, opt=optimize_params(plain.base))
+def _draw(seed: int, i: int, j: int) -> tuple[float, float, float]:
+    """beta, gamma and x0 of cell (i, j), from that cell's own generator."""
+    rng = np.random.default_rng([seed, i, j])
+    return rng.uniform(*BETA_RANGE), rng.uniform(*GAMMA_RANGE), rng.uniform(*X0_RANGE)
 
 
-def _in_sample_rmspe(raw, model) -> float:
-    """``evaluate(raw, predict(model, 0), n).rmspe`` without the rest of
-    the report."""
-    observed, predicted = _check_pair(raw, predict(model, 0))
-    return _rms_pct((predicted - observed) / observed)
+def _responses(x0, params, n: int) -> np.ndarray:
+    """(len(x0), n) array of response rows at k = 1..n: the parameter terms
+    per cell, on the floats given (a float ``**`` rounds its own way), and
+    their evaluation for all rows at once."""
+    terms = [_response_terms(x, *ps) for x, ps in zip(x0, params)]
+    terms = np.array(terms).reshape(len(x0), 4).T[:, :, None]
+    p = np.array([ps[0] for ps in params])[:, None]
+    return _response(np.array(x0)[:, None], p, terms, np.arange(1.0, n + 1))
 
 
-def _run_cell(r, alpha, beta, gamma, x0, n) -> SweepCell:
+def _convolve_rows(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Truncated ``np.convolve`` of each row with ``kernel``: (inverse)
+    accumulation, one call per row, as a batched sum would round differently."""
+    n = kernel.size
+    return np.array([np.convolve(row, kernel)[:n] for row in rows]).reshape(rows.shape)
+
+
+def _sweep_row(r: float, alphas, draws, n: int) -> list[SweepCell]:
+    """The cells of one r row; ``draws`` holds each cell's (beta, gamma, x0)."""
+    forward, inverse = forward_coeffs(r, n), inverse_coeffs(r, n)
+    truths = [(alpha, beta, gamma) for alpha, (beta, gamma, _) in zip(alphas, draws)]
+    # generate_synthetic
+    raw = _convolve_rows(_responses([x0 for _, _, x0 in draws], truths, n), inverse)
+    # fit(raw, r, FAGM11K, n) up to the normal equations, each cell a column
+    design, response = build_design(_convolve_rows(raw, forward).T, ModelVariant.FAGM11K)
+    scale = _column_scale(design)
+    scaled = np.ascontiguousarray((design / scale).transpose(2, 0, 1))
+    normal = np.matmul(scaled.transpose(0, 2, 1), scaled)
+    response = np.ascontiguousarray(response.T)
+    x0s = raw[:, 0].tolist()  # the fitted models' x0
+
+    # Per cell, what fit and optimize_params raise or FittedModel rejects
+    # fails the cell, and so does a recovery error that is not finite.
+    live, eps, fitted = [], [], []
+    for j, (x0, truth) in enumerate(zip(x0s, truths)):
+        try:
+            phi = _solve_pivoted(normal[j], scaled[j].T @ response[j]) / scale[:, j]
+            base = _place(phi, ModelVariant.FAGM11K)
+            if not all(map(math.isfinite, (x0, *base))):
+                continue
+            opt = optimize_params(BaseParams(*base))
+        except GreycastError:
+            continue
+        opt = (opt.alpha, opt.beta, opt.gamma)
+        if not all(map(math.isfinite, opt)):
+            continue
+        pair = (eps_params(base, truth), eps_params(opt, truth))
+        if all(map(math.isfinite, pair)):
+            live.append(j)
+            eps.append(pair)
+            fitted += [(x0, base), (x0, opt)]
+
+    # predict(model, 0) and evaluate(raw, ...).rmspe for both models of each
+    # live cell: predict raises for a restored value that is not finite, and
+    # evaluate for an observed value that gives no relative error
+    restored = _convolve_rows(
+        _responses([x0 for x0, _ in fitted], [ps for _, ps in fitted], n), inverse
+    )
+    observed = np.repeat(raw[live], 2, axis=0)
+    rmspe = _rms_pct((restored - observed) / observed)
+    finite = np.isfinite(restored).all(axis=1).reshape(-1, 2).all(axis=1)
+    scorable = ~_unscorable(raw).any(axis=1)
+
     nan = math.nan
-    try:
-        raw = generate_synthetic(r, alpha, beta, gamma, x0, n)
-        plain = fit(raw, r, ModelVariant.FAGM11K, n)
-        optimised = _as_optimised(plain)
-        truth = (alpha, beta, gamma)
-        eps_plain = eps_params((plain.base.a, plain.base.b, plain.base.c), truth)
-        eps_opt = eps_params(optimised.active_params, truth)
-        rmspe_plain = _in_sample_rmspe(raw, plain)
-        rmspe_opt = _in_sample_rmspe(raw, optimised)
-    except GreycastError:
-        return SweepCell(r, alpha, nan, nan, nan, nan, "fit_failed")
-    if not (math.isfinite(eps_plain) and math.isfinite(eps_opt)):
-        return SweepCell(r, alpha, nan, nan, nan, nan, "fit_failed")
-    return SweepCell(r, alpha, eps_plain, eps_opt, rmspe_plain, rmspe_opt, "ok")
+    cells = [SweepCell(r, alpha, nan, nan, nan, nan, "fit_failed") for alpha in alphas]
+    for m, j in enumerate(live):
+        if finite[m] and scorable[j]:
+            cells[j] = SweepCell(r, alphas[j], *eps[m], *rmspe[2 * m : 2 * m + 2], "ok")
+    return cells
 
 
 def write_sweep_csv(cells, path) -> None:

@@ -706,6 +706,8 @@ class TestInvariants:
             ({"nu": 3}, TooFewSamples),
             ({"nu": 13}, TooFewSamples),
             ({"nu": 10.5}, ValueError),
+            ({"n_total": 12.5}, ValueError),
+            ({"n_total": 20}, ValueError),
         ],
     )
     def test_each_broken_invariant_raises_its_error(self, overrides, error):

@@ -117,7 +117,8 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "fields",
     [{"r_max": math.inf}, {"r_min": math.nan}, {"step": math.nan}, {"step": 1e-12},
-     {"step": 5e-324}, {"r_min": 1.0, "r_max": order_search.MAX_GRID + 1.0, "step": 1.0}],
+     {"step": 5e-324}, {"r_min": 1.0, "r_max": order_search.MAX_GRID + 1.0, "step": 1.0},
+     {"variant": "fagmo", "step": 0.01}],
 )
 def test_bad_config_raises_when_built(fields):
     with pytest.raises(ValueError):

@@ -11,8 +11,8 @@ same bytes:
 
 The first line names the numpy build and machine.  ``output_digest.txt``
 next to this file holds the output for the tree it sits in;
-``tests/test_output_digest.py`` recomputes its library, 30x30 sweep,
-nuclear search and ``reproduce`` lines, and a change that means to alter
+``tests/test_output_digest.py`` recomputes its library, seed-0 and
+30x30 sweep, nuclear search and ``reproduce`` lines, and a change that means to alter
 outputs writes the file again.
 
 Covered: sweep CSVs at several seeds; the ``search_order`` result and
