@@ -18,7 +18,7 @@ class TooFewSamples(GreycastError):
 
 
 class SingularDesign(GreycastError):
-    """Normal equations are numerically singular (degenerate data)."""
+    """The design is numerically rank deficient (degenerate data)."""
 
 
 class DevelopmentCoefficientOutOfRange(GreycastError):
@@ -26,7 +26,8 @@ class DevelopmentCoefficientOutOfRange(GreycastError):
 
 
 class ZeroDevelopmentCoefficient(GreycastError):
-    """a == 0, so the optimised-parameter transform divides by zero."""
+    """|a| < models.A_FLOOR: a is 0 to roundoff, so the optimised-parameter
+    transform divides by zero or amplifies noise without bound."""
 
 
 class VariantOrderConflict(GreycastError):

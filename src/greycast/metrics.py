@@ -97,7 +97,9 @@ def evaluate(observed, predicted, nu: int) -> EvaluationReport:
     rmspe = _rms_pct(rel)
     xbar = float(np.mean(observed))
     spread = np.abs(predicted - xbar) + np.abs(observed - xbar)
-    ia = float(1.0 - np.sum((predicted - observed) ** 2) / np.sum(spread**2))
+    sse = np.sum((predicted - observed) ** 2)
+    # the spread sums to 0 only where predicted == observed == their mean
+    ia = 1.0 if sse == 0 else float(1.0 - sse / np.sum(spread**2))
     ae = float(np.mean(predicted - observed))
     mae = float(np.mean(np.abs(predicted - observed)))
     return EvaluationReport(

@@ -2,8 +2,8 @@
 
 All family members share one pipeline: accumulate the raw series at
 order r, regress the differenced accumulated series on the trapezoid
-background value and a linear drift term, then evaluate the closed-form
-response
+background value and a linear drift term (one Householder QR, see
+:func:`solve_least_squares`), then evaluate the closed-form response
 
     x_r(k) = [x0 - b/a + b/a^2 - c/a] e^{-a(k-1)} + (b/a) k - b/a^2 + c/a
 
@@ -51,9 +51,15 @@ __all__ = [
     "discretization_gap",
 ]
 
-#: Relative pivot threshold below which the normal equations are treated
-#: as singular.
-REL_PIVOT_TOL = 1e-12
+#: Relative size, against the largest, at or below which a diagonal entry
+#: of the QR factor R makes the design singular.  R^T R is the normal
+#: matrix, so this is the square root of a 1e-12 pivot rule on it.
+REL_RANK_TOL = 1e-6
+
+#: Smallest |a| the optimised transform takes.  Below it, a is roundoff
+#: (a flat series fits a = +-1e-16 or so), alpha rounds to 0 and gamma's
+#: beta/alpha term is 0/0 or +-1e12-sized noise.
+A_FLOOR = 1e-12
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -288,86 +294,74 @@ def _place(phi, variant: ModelVariant):
     return tuple(0.0 if i is None else phi[i] for i in _LAYOUT[variant])
 
 
-def _solve_pivoted(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting on a tiny SPD-ish system.
-
-    Raises SingularDesign when the best available pivot falls below
-    REL_PIVOT_TOL relative to the largest entry of the original matrix.
-
-    The pivot search, swaps and elimination run on Python floats, which
-    round exactly as numpy float64 scalars do but cost far less per
-    operation; the back-substitution keeps ``np.dot``, whose summation
-    differs from a plain Python sum in the last bit.  A NaN anywhere in
-    ``g`` spreads to every unknown, so such a system returns all NaN
-    without being eliminated.
-    """
-    a = g.tolist()
-    rhs = h.tolist()
-    m = len(rhs)
-    mags = [abs(v) for row in a for v in row]
-    if math.isnan(sum(mags)):
-        return np.full(m, math.nan)
-    scale = max(mags)
-    if scale == 0.0:
-        raise SingularDesign("normal equations are identically zero")
-    for col in range(m):
-        # First maximum wins, as with np.argmax; a NaN counts as maximal.
-        p, best = col, abs(a[col][col])
-        for row in range(col + 1, m):
-            v = abs(a[row][col])
-            if v > best or (v != v and best == best):
-                p, best = row, v
-        pivot = a[p][col]
-        # pivot == 0 passes the relative test only when the scale is subnormal
-        if best < REL_PIVOT_TOL * scale or pivot == 0.0:
-            raise SingularDesign(
-                f"pivot {pivot:.3e} below {REL_PIVOT_TOL:g} * {scale:.3e}; "
-                "the data do not determine the parameters"
-            )
-        if p != col:
-            a[col], a[p] = a[p], a[col]
-            rhs[col], rhs[p] = rhs[p], rhs[col]
-        top = a[col]
-        for row in range(col + 1, m):
-            cur = a[row]
-            f = cur[col] / pivot
-            for j in range(col + 1, m):
-                cur[j] -= f * top[j]
-            rhs[row] -= f * rhs[col]
-    out = np.empty(m)
-    for row in range(m - 1, -1, -1):
-        out[row] = (rhs[row] - np.dot(a[row][row + 1 :], out[row + 1 :])) / a[row][row]
-    return out
-
-
 def solve_least_squares(B, Y) -> np.ndarray:
-    """Minimise ||B phi - Y|| by solving the normal equations directly.
+    """Minimise ||B phi - Y|| by one Householder QR of the scaled ``[B | Y]``.
 
-    The systems here are at most 3x3, so a pivoted dense solve is both
-    adequate and easy to make deterministic.  Columns are scaled to unit
-    max before forming the normal equations so that the singularity
-    threshold measures rank deficiency, not scale disparity between
-    regressors (a steeply accumulated series can put 1e10-sized values
-    next to the all-ones intercept column).
+    Columns are scaled to unit max first, so that the rank test measures
+    rank deficiency, not scale disparity between regressors (a steeply
+    accumulated series can put 1e10-sized values next to the all-ones
+    intercept column).  The R factor of the augmented matrix holds Q^T Y
+    in its last column, so phi comes from R alone, and the design's
+    condition number is not squared as the normal equations square it.
+    Raises SingularDesign when some |R_kk| is at most REL_RANK_TOL times
+    the largest; a NaN spreads to every unknown.
     """
     B = np.asarray(B, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if B.ndim != 2 or Y.ndim != 1 or B.shape[0] != Y.size:
         raise ValueError("design matrix and response vector shapes disagree")
-    if B.shape[0] < B.shape[1]:
-        raise ValueError(
-            f"underdetermined system: {B.shape[0]} rows for {B.shape[1]} columns"
-        )
+    rows, m = B.shape
+    if rows < m:
+        raise ValueError(f"underdetermined system: {rows} rows for {m} columns")
     scale = _column_scale(B)
-    scaled = B / scale
-    return _solve_pivoted(scaled.T @ scaled, scaled.T @ Y) / scale
+    aug = np.empty((rows, m + 1))
+    np.divide(B, scale, out=aug[:, :m])
+    aug[:, m] = Y
+    R = _householder_r(aug)
+    diag = [abs(R[k][k]) for k in range(m)]
+    if math.isnan(sum(diag)):
+        return np.full(m, math.nan)
+    if min(diag) <= REL_RANK_TOL * max(diag):
+        raise SingularDesign(
+            f"|R_kk| {min(diag):.3e} not above {REL_RANK_TOL:g} * {max(diag):.3e}; "
+            "the data do not determine the parameters"
+        )
+    return np.array(_back_substitute(R, m)) / scale
+
+
+def _householder_r(aug):
+    """Rows k < m of the R factor of a (rows, m+1) matrix as nested lists,
+    ``R[k][j]`` a float, or of each matrix of an (A, rows, m+1) stack,
+    ``R[k][j]`` an (A,) array: one LAPACK call, which gives a matrix in a
+    stack the same bits as alone.  Only entries with j >= k are R's; the
+    rest are Householder vectors, which nothing reads.  ``mode="raw"``
+    skips the copy that zeroes them, a large share of the call's cost on
+    one small matrix.
+    """
+    m = aug.shape[-1] - 1
+    h = np.linalg.qr(aug, mode="raw")[0][..., :m]  # R transposed, LAPACK's layout
+    return h.T.tolist() if h.ndim == 2 else h.transpose(2, 1, 0)
+
+
+def _back_substitute(R, m: int) -> list:
+    """phi with R[:m, :m] phi = R[:m, m], for R from :func:`_householder_r`
+    of a scaled ``[B | Y]`` with m design columns; floats and arrays round
+    alike.  m comes from the design, because R has only m rows when B is
+    square."""
+    phi = [0.0] * m
+    for k in range(m - 1, -1, -1):
+        acc = R[k][m]
+        for j in range(k + 1, m):
+            acc = acc - R[k][j] * phi[j]
+        phi[k] = acc / R[k][k]
+    return phi
 
 
 def _column_scale(B) -> np.ndarray:
     """Max |entry| of each column of a (rows, m) design, or of each system's
     columns in a (rows, m, B) batch; a zero column gets scale 1."""
     scale = np.abs(B).max(axis=0)
-    scale[scale == 0] = 1.0  # so a zero column stays zero and trips the pivot check
+    scale[scale == 0] = 1.0  # so a zero column stays zero and trips the rank test
     return scale
 
 
@@ -381,11 +375,14 @@ def optimize_params(base: BaseParams) -> OptParams:
     These are exactly the parameter values that make the continuous
     response satisfy the discrete basic equation, so the identities
     (1 + a/2) - (1 - a/2) e^alpha = 0 and (beta/alpha) a = b hold to
-    roundoff on the output.
+    roundoff on the output.  Raises ZeroDevelopmentCoefficient when
+    |a| < A_FLOOR and DevelopmentCoefficientOutOfRange when |a| >= 2.
     """
     a, b, c = base.a, base.b, base.c
-    if a == 0:
-        raise ZeroDevelopmentCoefficient("development coefficient a is exactly 0")
+    if abs(a) < A_FLOOR:
+        raise ZeroDevelopmentCoefficient(
+            f"development coefficient a={a!r} is 0 to roundoff (|a| < {A_FLOOR:g})"
+        )
     if abs(a) >= 2:
         raise DevelopmentCoefficientOutOfRange(
             f"|a| must be < 2 for the optimised transform, got a={a!r}"
@@ -395,7 +392,7 @@ def optimize_params(base: BaseParams) -> OptParams:
 
 def _transform(a, b, c, log):
     """The (alpha, beta, gamma) formulas, on floats with ``math.log`` or on
-    arrays with ``np.log``; the caller checks 0 < |a| < 2."""
+    arrays with ``np.log``; the caller checks A_FLOOR <= |a| < 2."""
     alpha = log((2 + a) / (2 - a))
     beta = b / a * alpha
     gamma = alpha * c / a - alpha * b / (2 * a) + beta / alpha + beta / 2 - beta / a
@@ -410,15 +407,13 @@ def alpha_gap(a: float) -> float:
 
 def _response_terms(x0, p, q, g):
     """The parameter terms of the response: the bracketed constant, q/p,
-    q/p**2 and g/p, on floats or on arrays of parameter sets.
+    q/p^2 and g/p, on floats or on arrays of parameter sets, which round
+    alike.  p^2 is ``p * p``: a float ``p**2`` goes through libm ``pow``
+    and raises OverflowError where ``p * p`` gives inf.
 
-    With :func:`_response` this is the single copy of the formula.  The two
-    steps are apart because a float ``p**2`` goes through libm ``pow`` while
-    an array's is ``p*p``, and the two differ in the last bit: the sweep
-    takes these terms per cell on floats, as :func:`time_response` does, and
-    evaluates a whole row of cells at once.
+    With :func:`_response` this is the single copy of the formula.
     """
-    qp, qp2, gp = q / p, q / p**2, g / p
+    qp, qp2, gp = q / p, q / (p * p), g / p
     return x0 - qp + qp2 - gp, qp, qp2, gp
 
 

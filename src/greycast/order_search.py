@@ -13,21 +13,25 @@ chosen; pass ``objective="rmspepr"`` to restrict scoring to the
 training window instead.
 
 The scan runs in two stages.  A numpy kernel first scores every grid
-order at once, in chunks along a batch axis, with the same failure rules
-as :func:`~greycast.models.fit`, :func:`~greycast.models.predict` and
-:func:`~greycast.metrics.evaluate`.  It calls the model's own code for
-the design (``build_design`` takes the batch), the column scaling, the
-placement of (a, b, c), the optimised transform and the response.  Three
-stages are the kernel's own, because the shared code would either change
-the kernel's bits, and with them the profile CSV, or slow the scalar
-path:
+order at once, in chunks along a batch axis, with the failure rules of
+:func:`~greycast.models.fit`, :func:`~greycast.models.predict` and
+:func:`~greycast.metrics.evaluate` (for a singular design, a pivot rule
+on the normal equations in place of fit's rank test on R).  It calls the
+model's own code for the design (``build_design`` takes the batch), the
+column scaling, the placement of (a, b, c), the optimised transform and
+the response.  Two stages are the kernel's own, because the shared code
+would either change the kernel's bits, and with them the profile CSV,
+or cost more than the kernel saves:
 
 - accumulation and restoration (``_convolve``), lag-wise shifted
   multiply-adds, because ``np.convolve`` sums in a different order;
-- the normal equations, summed row by row, because BLAS ``@`` sums in a
-  different order;
-- the pivoted solve (``_solve_batch``), because for one system the
-  scalar solve on Python floats is several times faster.
+- the least-squares solve: the normal equations, summed row by row, and
+  a pivoted elimination on them (``_solve_batch``).  ``fit`` solves by a
+  Householder QR instead, which does not square the design's condition
+  number, but one stacked QR of the default grid's 19,901 systems of size
+  10x4 takes about 27 ms, against 39 ms for the whole kernel on the
+  14-point oilfield series (2-vCPU x86-64, numpy 2.4 on OpenBLAS).  The
+  kernel only ranks candidates; the rescoring below decides the result.
 
 The kernel uses elementwise operations only and sums in index order, so
 an order's score depends on that order alone, never on the chunk it
@@ -54,13 +58,17 @@ import numpy as np
 from .errors import GreycastError, NoFeasibleOrder
 from .metrics import _check_pair, evaluate
 from .models import (
-    REL_PIVOT_TOL, ModelVariant, _column_scale, _place, _response, _response_terms,
+    A_FLOOR, ModelVariant, _column_scale, _place, _response, _response_terms,
     _training_window, _transform, build_design, fit, predict,
 )
 
 __all__ = ["OrderSearchConfig", "OrderSearchResult", "search_order"]
 
 OBJECTIVES = ("rmspe", "rmspepr")
+
+#: Relative pivot threshold below which the kernel's normal equations are
+#: treated as singular.
+REL_PIVOT_TOL = 1e-12
 
 #: Number of best kernel candidates scored again through the scalar
 #: pipeline; the result is the best of them.
@@ -164,10 +172,12 @@ def _kernels(r: np.ndarray, n: int, forward: bool) -> np.ndarray:
 
 
 def _solve_batch(G: np.ndarray, h: np.ndarray):
-    """Batched ``_solve_pivoted``: G is (m, m, B), h is (m, B).
+    """Gaussian elimination with partial pivoting on a batch of normal
+    equations: G is (m, m, B), h is (m, B).
 
     Returns the solutions (m, B) and a mask of the columns whose system
-    is singular under the same REL_PIVOT_TOL rule; those hold garbage.
+    is singular, where a pivot falls below REL_PIVOT_TOL times the largest
+    entry of G; those hold garbage.
     """
     m, _, batch = G.shape
     cols = np.arange(batch)
@@ -208,7 +218,7 @@ def _fit_chunk(x, r, variant: ModelVariant, nu: int):
     phi, failed = _solve_batch(G, h)
     p, q, g = _place(phi / scale, variant)
     if variant.optimized:
-        failed |= (p == 0) | (np.abs(p) >= 2)
+        failed |= (np.abs(p) < A_FLOOR) | (np.abs(p) >= 2)
         p, q, g = _transform(p, q, g, np.log)
     if variant.order_locked:
         failed |= r != 1.0

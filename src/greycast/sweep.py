@@ -9,18 +9,21 @@ discretisation mismatch, so its recovery error sits at roundoff level
 while the plain model's error grows with |alpha|.
 
 The sweep runs one r row of the grid at a time.  The accumulation
-kernels of the row are built once.  The response's evaluation, the
-design, its column scaling, the normal matrices and the RMSPE each run
-once over the whole row, because their batched forms give the same bits
-as the scalar calls.  Everything else stays per cell, because no batched
-form of it does: the response's parameter terms (a float ``**`` goes
-through libm ``pow``, an array's is ``x*x``), each ``np.convolve``, the
-pivoted solve, and the transform to (alpha, beta, gamma).  The plain and
-optimised variants solve the same design, so the least-squares solve
-runs once per cell, and the optimised parameters come from the plain
-model's (a, b, c), exactly as :func:`~greycast.models.fit` computes them
-for the optimised variant.  The CSV bytes are therefore those of a cell
-built with ``generate_synthetic``, ``fit``, ``predict`` and ``evaluate``.
+kernels of the row are built once.  The response (its parameter terms and
+their evaluation), the design, its column scaling, the least-squares
+solve and the RMSPE each run once over the whole row, because their
+batched forms give the same bits as the scalar calls: the solve is one
+stacked LAPACK QR of the row's scaled ``[B | Y]`` matrices, followed by
+the back-substitution of :func:`~greycast.models.solve_least_squares` on
+arrays over the row's cells.  Everything else stays per cell, because no
+batched form of it does: each ``np.convolve``, and the transform to
+(alpha, beta, gamma) (``math.log`` and ``np.log`` may differ in the last
+bit).  The plain and optimised variants solve the same design, so the
+least-squares solve runs once per cell, and the optimised parameters come
+from the plain model's (a, b, c), exactly as
+:func:`~greycast.models.fit` computes them for the optimised variant.
+The CSV bytes are therefore those of a cell built with
+``generate_synthetic``, ``fit``, ``predict`` and ``evaluate``.
 
 Determinism: every cell owns a PCG64 generator seeded with
 ``SeedSequence([seed, r_index, alpha_index])`` (numpy's default_rng),
@@ -43,8 +46,8 @@ from .metrics import _rms_pct, _unscorable
 # fit is not called here, but perfbench's tracer test looks it up as
 # greycast.sweep.fit.
 from .models import (
-    BaseParams, ModelVariant, _column_scale, _place, _response, _response_terms,
-    _solve_pivoted, build_design, fit, optimize_params,
+    REL_RANK_TOL, BaseParams, ModelVariant, _back_substitute, _column_scale,
+    _householder_r, _place, _response, _response_terms, build_design, fit, optimize_params,
 )
 
 __all__ = [
@@ -154,8 +157,9 @@ def run_sweep(config: SweepConfig) -> list[SweepCell]:
     and what per cell).  A cell is ``fit_failed`` exactly where
     ``generate_synthetic``, ``fit``, ``predict`` or ``evaluate`` would
     raise a GreycastError for it, or its recovery error is not finite:
-    a singular design, a = 0 or |a| >= 2, a non-finite parameter or
-    restored value, or a synthetic series with a 0 or non-finite value.
+    a singular design, a = 0 to roundoff or |a| >= 2, a non-finite
+    parameter or restored value, or a synthetic series with a 0 or
+    non-finite value.
     """
     n = _whole(config.n_points)
     seed = int(config.seed)
@@ -175,13 +179,11 @@ def _draw(seed: int, i: int, j: int) -> tuple[float, float, float]:
 
 
 def _responses(x0, params, n: int) -> np.ndarray:
-    """(len(x0), n) array of response rows at k = 1..n: the parameter terms
-    per cell, on the floats given (a float ``**`` rounds its own way), and
-    their evaluation for all rows at once."""
-    terms = [_response_terms(x, *ps) for x, ps in zip(x0, params)]
-    terms = np.array(terms).reshape(len(x0), 4).T[:, :, None]
-    p = np.array([ps[0] for ps in params])[:, None]
-    return _response(np.array(x0)[:, None], p, terms, np.arange(1.0, n + 1))
+    """(len(x0), n) array of response rows at k = 1..n, one per x0 and
+    (p, q, g) parameter set."""
+    x0 = np.array(x0, dtype=float)[:, None]
+    p, q, g = np.array(params, dtype=float).reshape(-1, 3).T[:, :, None]
+    return _response(x0, p, _response_terms(x0, p, q, g), np.arange(1.0, n + 1))
 
 
 def _convolve_rows(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -197,23 +199,31 @@ def _sweep_row(r: float, alphas, draws, n: int) -> list[SweepCell]:
     truths = [(alpha, beta, gamma) for alpha, (beta, gamma, _) in zip(alphas, draws)]
     # generate_synthetic
     raw = _convolve_rows(_responses([x0 for _, _, x0 in draws], truths, n), inverse)
-    # fit(raw, r, FAGM11K, n) up to the normal equations, each cell a column
+    # fit(raw, r, FAGM11K, n) up to the QR, each cell a column of the design
     design, response = build_design(_convolve_rows(raw, forward).T, ModelVariant.FAGM11K)
     scale = _column_scale(design)
-    scaled = np.ascontiguousarray((design / scale).transpose(2, 0, 1))
-    normal = np.matmul(scaled.transpose(0, 2, 1), scaled)
-    response = np.ascontiguousarray(response.T)
+    rows, m, cells = design.shape
+    aug = np.empty((cells, rows, m + 1))
+    aug[:, :, :m] = (design / scale).transpose(2, 0, 1)
+    aug[:, :, m] = response.T
+    # solve_least_squares for all cells at once, as (cells,) arrays
+    R = _householder_r(aug)
+    diag = np.abs([R[k][k] for k in range(m)])
+    singular = (diag.min(axis=0) <= REL_RANK_TOL * diag.max(axis=0)).tolist()
+    phi = np.array(_back_substitute(R, m)) / scale
+    bases = phi.T.tolist()
     x0s = raw[:, 0].tolist()  # the fitted models' x0
 
     # Per cell, what fit and optimize_params raise or FittedModel rejects
     # fails the cell, and so does a recovery error that is not finite.
     live, eps, fitted = [], [], []
     for j, (x0, truth) in enumerate(zip(x0s, truths)):
+        if singular[j]:
+            continue
+        base = _place(bases[j], ModelVariant.FAGM11K)
+        if not all(map(math.isfinite, (x0, *base))):
+            continue
         try:
-            phi = _solve_pivoted(normal[j], scaled[j].T @ response[j]) / scale[:, j]
-            base = _place(phi, ModelVariant.FAGM11K)
-            if not all(map(math.isfinite, (x0, *base))):
-                continue
             opt = optimize_params(BaseParams(*base))
         except GreycastError:
             continue
@@ -239,9 +249,9 @@ def _sweep_row(r: float, alphas, draws, n: int) -> list[SweepCell]:
 
     nan = math.nan
     cells = [SweepCell(r, alpha, nan, nan, nan, nan, "fit_failed") for alpha in alphas]
-    for m, j in enumerate(live):
-        if finite[m] and scorable[j]:
-            cells[j] = SweepCell(r, alphas[j], *eps[m], *rmspe[2 * m : 2 * m + 2], "ok")
+    for i, j in enumerate(live):
+        if finite[i] and scorable[j]:
+            cells[j] = SweepCell(r, alphas[j], *eps[i], *rmspe[2 * i : 2 * i + 2], "ok")
     return cells
 
 

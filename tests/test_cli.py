@@ -318,6 +318,24 @@ class TestForecast:
         assert "Traceback" not in stderr
         assert not out.exists()
 
+    def test_huge_development_coefficient_gives_a_typed_exit(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        code, _, _ = run(
+            ["fit", NUCLEAR, "--model", "fagm11k", "--order", "1.1595", "--out", str(model)],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(model.read_text())
+        doc["a"] = 1e200  # a^2 overflows
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "f.csv"
+        code, _, stderr = run(["forecast", "--model", str(model), "--out", str(out)], capsys)
+        assert code in (0, 3)
+        assert "Traceback" not in stderr
+        if code == 0:
+            values = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+            assert np.isfinite(values).all()
+
     def test_large_finite_forecast_exits_0(self, nuclear_model, tmp_path, capsys):
         out = tmp_path / "f.csv"
         code, _, _ = run(

@@ -1,6 +1,7 @@
 """Evaluation criteria, cross-checked against a naive loop implementation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,15 @@ def test_perfect_prediction():
     assert report.ia == 1.0
     assert report.ae == 0.0
     assert report.mae == 0.0
+
+
+def test_perfect_fit_of_a_flat_series_has_ia_one():
+    # every spread term is 0 too, so the IA ratio would be 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = evaluate(np.ones(4), np.ones(4), 4)
+    assert report.ia == 1.0
+    assert report.rmspe == 0.0 and report.mae == 0.0
 
 
 def test_cross_check_against_loop_reference():

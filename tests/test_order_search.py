@@ -18,8 +18,10 @@ from greycast.errors import (
     ZeroObserved,
 )
 from greycast.metrics import evaluate
-from greycast.models import ModelVariant, _solve_pivoted, fit, predict
-from greycast.order_search import OrderSearchConfig, OrderSearchResult, search_order
+from greycast.models import ModelVariant, fit, predict
+from greycast.order_search import (
+    REL_PIVOT_TOL, OrderSearchConfig, OrderSearchResult, search_order,
+)
 from greycast.sweep import generate_synthetic
 
 from test_models import out_of_range_raw
@@ -163,6 +165,31 @@ def test_non_finite_value_is_named_up_front(bad):
 # --- the kernel against the candidate-by-candidate scalar scan ----------
 
 
+def numpy_scalar_solve(g, h):
+    """The kernel's pivoted solve for one system, on numpy arrays and float64 scalars."""
+    g = g.copy()
+    h = h.copy()
+    m = g.shape[0]
+    scale = np.max(np.abs(g))
+    if scale == 0.0:
+        raise SingularDesign("normal equations are identically zero")
+    for col in range(m):
+        p = col + int(np.argmax(np.abs(g[col:, col])))
+        if abs(g[p, col]) < REL_PIVOT_TOL * scale:
+            raise SingularDesign("pivot below tolerance")
+        if p != col:
+            g[[col, p]] = g[[p, col]]
+            h[[col, p]] = h[[p, col]]
+        for row in range(col + 1, m):
+            f = g[row, col] / g[col, col]
+            g[row, col:] -= f * g[col, col:]
+            h[row] -= f * h[col]
+    out = np.empty(m)
+    for row in range(m - 1, -1, -1):
+        out[row] = (h[row] - np.dot(g[row, row + 1 :], out[row + 1 :])) / g[row, row]
+    return out
+
+
 def test_batched_solve_matches_the_scalar_pivoted_solve():
     # random systems plus diagonal ones with the last pivot just above,
     # at and below REL_PIVOT_TOL, in every row order so pivoting swaps rows
@@ -177,7 +204,7 @@ def test_batched_solve_matches_the_scalar_pivoted_solve():
         got, failed = order_search._solve_batch(np.stack(systems, axis=-1), h.T.copy())
     for i, g in enumerate(systems):
         try:
-            want = _solve_pivoted(g, h[i])
+            want = numpy_scalar_solve(g, h[i])
         except SingularDesign:
             assert failed[i], f"system {i} should fail"
         else:

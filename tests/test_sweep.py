@@ -95,6 +95,27 @@ class TestRunSweep:
         assert all(c.eps_fagmo <= c.eps_fagm for c in cells)
         assert all(c.rmspe_fagmo <= c.rmspe_fagm + 1e-9 for c in cells)
 
+    # Seeds of benchmark sweeps whose smallest-alpha cell in r row ``rows - 1``
+    # once had eps_fagmo above eps_fagm, when the least-squares solve
+    # squared the design's condition number.  A cell's draws depend only
+    # on (seed, i, j), so the rows up to that one give the full sweep's cells.
+    @pytest.mark.parametrize(
+        "seed, rows",
+        [(8578873834066032474, 19), (6897854090030866718, 33), (14093731516832647742, 1)],
+    )
+    def test_optimised_model_dominates_at_roundoff(self, seed, rows):
+        full = SweepConfig.regular(100, 100, seed=seed)
+        cells = run_sweep(replace(full, r_grid=full.r_grid[:rows]))
+        ok = [c for c in cells if c.status == "ok"]
+        assert len(ok) == len(cells) == rows * 100
+        assert [c for c in ok if not c.eps_fagmo <= c.eps_fagm] == []
+
+    def test_huge_alpha_gives_cells(self):
+        # alpha^2 overflows to inf in the response's terms, and the row
+        # has no cell left to restore
+        cells = run_sweep(SweepConfig(r_grid=(0.3,), alpha_grid=(1e160,)))
+        assert [(c.r, c.alpha, c.status) for c in cells] == [(0.3, 1e160, "fit_failed")]
+
     def test_small_alpha_cells_nearly_coincide(self):
         config = SweepConfig.regular(r_steps=5, alpha_steps=40, seed=11)
         cells = [c for c in run_sweep(config) if abs(c.alpha) <= 0.1 and c.status == "ok"]
