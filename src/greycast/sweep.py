@@ -25,16 +25,22 @@ from the plain model's (a, b, c), exactly as
 The CSV bytes are therefore those of a cell built with
 ``generate_synthetic``, ``fit``, ``predict`` and ``evaluate``.
 
-Determinism: every cell owns a PCG64 generator seeded with
-``SeedSequence([seed, r_index, alpha_index])`` (numpy's default_rng),
-drawing beta, gamma, x0 in that order.  Cell results therefore depend
-only on the seed and grid indices, never on execution order, and reruns
-are bit-identical.
+Determinism: cell (r_index, alpha_index) draws beta, gamma and x0, in
+that order, from PCG64 seeded with ``SeedSequence([seed, r_index,
+alpha_index])``, which is numpy's ``default_rng([seed, r_index,
+alpha_index])``.  No generator is built: :func:`_draws` computes those
+draws for blocks of whole rows at once, in vectorised integer arithmetic
+on uint32/uint64 arrays, equal bit for bit to the generator's (NEP 19
+keeps its streams stable across numpy releases);
+``tests/test_sweep.py::test_vectorised_draws_equal_default_rng`` pins
+this.  Cell results therefore depend only on the seed and grid indices,
+never on execution order, and reruns are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +78,17 @@ X0_RANGE = (1.0, 2.0)
 
 SWEEP_CSV_HEADER = "r,alpha,eps_fagm,eps_fagmo,rmspe_fagm,rmspe_fagmo,status"
 
+# numpy's SeedSequence hash constants, and the 64-bit halves of PCG64's
+# 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+_MASK32 = 0xFFFFFFFF
+# Cells drawn together: enough to spread numpy's cost per call, few enough
+# that the draws' temporaries stay about as small as a sweep row's arrays.
+_DRAW_CELLS = 2048
+
 
 def generate_synthetic(r, alpha, beta, gamma, x0, n) -> np.ndarray:
     """Raw series whose order-r accumulation satisfies the optimised
@@ -98,7 +115,9 @@ def eps_params(estimated, truth) -> float:
 class SweepConfig:
     """The (r, alpha) grid, series length and seed of :func:`run_sweep`,
     checked when built: ascending grids of orders and of finite alphas
-    outside the dead zone, a whole n_points >= 5 and a whole 64-bit seed."""
+    outside the dead zone, a whole n_points >= 5 and a whole 64-bit seed,
+    both stored as ints.  Each grid holds fewer than 2**32 points, so that
+    a cell's r and alpha indices are one 32-bit SeedSequence word each."""
 
     r_grid: tuple[float, ...]
     alpha_grid: tuple[float, ...]
@@ -115,6 +134,7 @@ class SweepConfig:
     ) -> "SweepConfig":
         """Evenly spaced grids over R_BOUNDS and ALPHA_BOUNDS; alpha points
         inside the dead zone around 0 are dropped."""
+        r_steps, alpha_steps = _whole(r_steps), _whole(alpha_steps)
         if r_steps < 1 or alpha_steps < 1:
             raise ValueError("grid step counts must be >= 1")
         r_grid = tuple(np.linspace(*R_BOUNDS, r_steps))
@@ -132,9 +152,11 @@ class SweepConfig:
             _check_order(r)
         if not all(ALPHA_DEAD_ZONE <= abs(a) < math.inf for a in self.alpha_grid):
             raise ValueError(f"alpha grid must be finite, with |alpha| >= {ALPHA_DEAD_ZONE}")
-        if _whole(self.n_points) < 5:
+        object.__setattr__(self, "n_points", _whole(self.n_points))
+        object.__setattr__(self, "seed", _whole(self.seed))
+        if self.n_points < 5:
             raise ValueError(f"n_points must be >= 5, got {self.n_points}")
-        if not (0 <= _whole(self.seed) < 2**64):
+        if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
@@ -161,21 +183,98 @@ def run_sweep(config: SweepConfig) -> list[SweepCell]:
     parameter or restored value, or a synthetic series with a 0 or
     non-finite value.
     """
-    n = _whole(config.n_points)
-    seed = int(config.seed)
     alphas = [float(alpha) for alpha in config.alpha_grid]
+    rows = zip(config.r_grid, _draws(config.seed, len(config.r_grid), len(alphas)))
     cells: list[SweepCell] = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i, r in enumerate(config.r_grid):
-            draws = [_draw(seed, i, j) for j in range(len(alphas))]
-            cells += _sweep_row(float(r), alphas, draws, n)
+        for r, draws in rows:
+            cells += _sweep_row(float(r), alphas, draws, config.n_points)
     return cells
 
 
-def _draw(seed: int, i: int, j: int) -> tuple[float, float, float]:
-    """beta, gamma and x0 of cell (i, j), from that cell's own generator."""
-    rng = np.random.default_rng([seed, i, j])
-    return rng.uniform(*BETA_RANGE), rng.uniform(*GAMMA_RANGE), rng.uniform(*X0_RANGE)
+def _draws(seed: int, rows: int, cols: int) -> Iterator[np.ndarray]:
+    """The draws of r rows i = 0..rows-1 in turn, each a (3, cols) array
+    whose column j holds what ``default_rng([seed, i, j])`` draws by
+    ``uniform(*BETA_RANGE)``, ``uniform(*GAMMA_RANGE)`` and
+    ``uniform(*X0_RANGE)``, bit for bit, for i and j below 2**32.  Whole
+    rows are drawn together, about ``_DRAW_CELLS`` cells at a time."""
+    block = max(1, _DRAW_CELLS // cols)
+    for start in range(0, rows, block):
+        i, j = np.indices((min(block, rows - start), cols), dtype=np.uint32)
+        yield from np.stack(_draw_cells(seed, i + start, j), axis=1)
+
+
+def _draw_cells(seed: int, i: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
+    """beta, gamma and x0 of the cells (i, j), from PCG64 seeded by
+    SeedSequence's (initstate, initseq) = (s, q).  All wrapping arithmetic
+    runs on uint32/uint64 arrays, never on numpy scalars, whose overflow
+    warns."""
+    # modulo 2**128 as (hi, lo) pairs: inc = 2q + 1, then state = 0, a step
+    # (state = inc), state += s, and a step
+    hi, lo, q_hi, q_lo = _seed_state(seed, i, j)
+    inc = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
+    lo = lo + inc[1]
+    hi = hi + inc[0] + (lo < inc[1])
+    hi, lo = _lcg_step(hi, lo, inc)
+    out = []
+    for low, high in (BETA_RANGE, GAMMA_RANGE, X0_RANGE):
+        hi, lo = _lcg_step(hi, lo, inc)
+        # XSL-RR output, then Generator.uniform
+        x, rot = hi ^ lo, hi >> 58
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        out.append(low + (high - low) * ((x >> 11) * 2.0**-53))
+    return out
+
+
+def _seed_state(seed: int, i: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence([seed, i, j]).generate_state(4, np.uint64)`` of each
+    cell (i, j), as four uint64 arrays."""
+    # The entropy is the seed's 32-bit words, low first, then i and j: at
+    # most four words, the pool size, so a pool word past them is hashmix(0)
+    # and no entropy is left to mix in after the pool's mixing.
+    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(i.shape, w, dtype=np.uint32) for w in words] + [i, j]
+    entropy += [np.zeros(i.shape, dtype=np.uint32)] * (4 - len(entropy))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * _MIX_MULT_L - hashmix(pool[src]) * _MIX_MULT_R
+                pool[dst] = mixed ^ (mixed >> 16)
+    # eight 32-bit words from the pool, paired low word first
+    hashout = _hasher(_INIT_B, _MULT_B)
+    state = [hashout(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    return [state[k] | (state[k + 1] << 32) for k in range(0, 8, 2)]
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's hash of uint32 arrays, whose constant steps by ``mult``
+    at each call: ``hashmix`` from (_INIT_A, _MULT_A), and the hash of
+    ``generate_state``'s output from (_INIT_B, _MULT_B)."""
+
+    def hash_(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    return hash_
+
+
+def _lcg_step(hi, lo, inc):
+    """PCG64's LCG step, (hi, lo) * multiplier + inc modulo 2**128; the
+    high word of lo times the multiplier's low half is built from the
+    products of their 32-bit halves."""
+    m0, m1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+    l0, l1 = lo & _MASK32, lo >> 32
+    cross, cross2 = l0 * m1, l1 * m0
+    mid = ((l0 * m0) >> 32) + (cross & _MASK32) + (cross2 & _MASK32)
+    hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + l1 * m1
+    hi += (cross >> 32) + (cross2 >> 32) + (mid >> 32)
+    lo = lo * _PCG_MULT_LO + inc[1]
+    return hi + inc[0] + (lo < inc[1]), lo
 
 
 def _responses(x0, params, n: int) -> np.ndarray:
@@ -194,11 +293,13 @@ def _convolve_rows(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def _sweep_row(r: float, alphas, draws, n: int) -> list[SweepCell]:
-    """The cells of one r row; ``draws`` holds each cell's (beta, gamma, x0)."""
+    """The cells of one r row; ``draws`` holds the row's beta, gamma and x0
+    arrays."""
     forward, inverse = forward_coeffs(r, n), inverse_coeffs(r, n)
-    truths = [(alpha, beta, gamma) for alpha, (beta, gamma, _) in zip(alphas, draws)]
+    betas, gammas, starts = draws.tolist()
+    truths = list(zip(alphas, betas, gammas))
     # generate_synthetic
-    raw = _convolve_rows(_responses([x0 for _, _, x0 in draws], truths, n), inverse)
+    raw = _convolve_rows(_responses(starts, truths, n), inverse)
     # fit(raw, r, FAGM11K, n) up to the QR, each cell a column of the design
     design, response = build_design(_convolve_rows(raw, forward).T, ModelVariant.FAGM11K)
     scale = _column_scale(design)

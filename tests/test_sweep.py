@@ -185,6 +185,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             replace(small_config(), **fields)
 
+    @pytest.mark.parametrize("steps", [2.5, True, 0])
+    @pytest.mark.parametrize("name", ["r_steps", "alpha_steps"])
+    def test_regular_takes_whole_positive_step_counts(self, name, steps):
+        with pytest.raises(ValueError, match="got" if steps else ">= 1"):
+            SweepConfig.regular(**{name: steps})
+
+    @pytest.mark.parametrize("seed", [42.0, np.uint64(2**64 - 1)])
+    def test_whole_numbers_are_stored_as_ints(self, seed):
+        config = SweepConfig.regular(3, 4, n_points=np.int64(11), seed=seed)
+        want = SweepConfig.regular(3, 4, n_points=11, seed=int(seed))
+        assert type(config.seed) is type(config.n_points) is int
+        assert repr(config) == repr(want)
+        assert repr(run_sweep(config)) == repr(run_sweep(want))
+
     def test_config_is_frozen(self):
         with pytest.raises(FrozenInstanceError):
             small_config().seed = 1
@@ -229,6 +243,27 @@ def cell_draws(seed, i, j):
     rng = np.random.default_rng([int(seed), i, j])
     return (rng.uniform(*sweep.BETA_RANGE), rng.uniform(*sweep.GAMMA_RANGE),
             rng.uniform(*sweep.X0_RANGE))
+
+
+# One- and two-word seeds, their extremes, and a sweep seed as perfbench
+# derives it (``perfbench.workloads.sweep_seed(1, 0)``).
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "seed",
+    [0, 1, 2**32 - 1, 2**32, 2**64 - 1,
+     int(np.random.SeedSequence([1, 2, 0]).generate_state(1, np.uint64)[0])],
+)
+def test_vectorised_draws_equal_default_rng(seed):
+    rng = np.random.default_rng(seed % 997)
+    # rows drawn in two blocks, the second short; then one row per block
+    for rows, cols in [(37, 100), (3, sweep._DRAW_CELLS + 1)]:
+        draws = np.array(list(sweep._draws(seed, rows, cols)))
+        assert draws.shape == (rows, 3, cols)
+        sample = [(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)]
+        sample += zip(rng.integers(rows, size=24).tolist(), rng.integers(cols, size=24).tolist())
+        for i, j in sample:
+            got = [float(v).hex() for v in draws[i, :, j]]
+            assert got == [v.hex() for v in cell_draws(seed, i, j)], (rows, cols, i, j)
 
 
 def two_fit_sweep(config):

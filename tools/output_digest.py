@@ -11,9 +11,9 @@ same bytes:
 
 The first line names the numpy build and machine.  ``output_digest.txt``
 next to this file holds the output for the tree it sits in;
-``tests/test_output_digest.py`` recomputes its library, seed-0 and
-30x30 sweep, nuclear search and ``reproduce`` lines, and a change that means to alter
-outputs writes the file again.
+``tests/test_output_digest.py`` recomputes its library, 30x30 sweep,
+seed-0 and seed-9628820819983981567 sweep, nuclear search and ``reproduce``
+lines, and a change that means to alter outputs writes the file again.
 
 Covered: sweep CSVs at several seeds; the ``search_order`` result and
 profile CSV for each bundled series, search variant and objective;
