@@ -8,19 +8,23 @@ the restored values.  The optimised transform removes the trapezoid
 discretisation mismatch, so its recovery error sits at roundoff level
 while the plain model's error grows with |alpha|.
 
-The sweep runs one r row of the grid at a time.  The accumulation
-kernels of the row are built once.  The response (its parameter terms and
-their evaluation), the design, its column scaling, the least-squares
-solve and the RMSPE each run once over the whole row, because their
-batched forms give the same bits as the scalar calls: the solve is one
-stacked LAPACK QR of the row's scaled ``[B | Y]`` matrices, followed by
-the back-substitution of :func:`~greycast.models.solve_least_squares` on
-arrays over the row's cells.  Everything else stays per cell, because no
-batched form of it does: each ``np.convolve``, and the transform to
-(alpha, beta, gamma) (``math.log`` and ``np.log`` may differ in the last
-bit).  The plain and optimised variants solve the same design, so the
-least-squares solve runs once per cell, and the optimised parameters come
-from the plain model's (a, b, c), exactly as
+The sweep runs one r row of the grid at a time, and every step of a cell
+runs once over the whole row, in a batched form that gives the same bits
+as the scalar call: the accumulation kernels are built once; each
+convolution is one BLAS dot call per output index over all rows, as
+``np.convolve`` makes one per row (:func:`_convolve_rows`); the response,
+the design, its column scaling and the RMSPE are array expressions; the
+least-squares solve is one stacked LAPACK QR of the row's scaled
+``[B | Y]`` matrices, followed by the back-substitution of
+:func:`~greycast.models.solve_least_squares` on arrays over the row's
+cells; the transform to (alpha, beta, gamma) is
+:func:`~greycast.models._transform` on arrays with ``math.log`` mapped
+over them (``np.log`` may differ from it in the last bit); and the
+recovery errors square each gap with a float power (``x * x`` may differ
+from ``x ** 2``).  What ``fit`` and ``optimize_params`` raise for becomes
+a mask over the row.  The plain and optimised variants solve the same
+design, so the least-squares solve runs once per cell, and the optimised
+parameters come from the plain model's (a, b, c), exactly as
 :func:`~greycast.models.fit` computes them for the optimised variant.
 The CSV bytes are therefore those of a cell built with
 ``generate_synthetic``, ``fit``, ``predict`` and ``evaluate``.
@@ -47,13 +51,12 @@ import numpy as np
 
 from .accumulation import _check_order, forward_coeffs, inverse_accumulate, inverse_coeffs
 from .datasets import _whole
-from .errors import GreycastError
 from .metrics import _rms_pct, _unscorable
 # fit is not called here, but perfbench's tracer test looks it up as
 # greycast.sweep.fit.
 from .models import (
-    REL_RANK_TOL, BaseParams, ModelVariant, _back_substitute, _column_scale,
-    _householder_r, _place, _response, _response_terms, build_design, fit, optimize_params,
+    A_FLOOR, REL_RANK_TOL, ModelVariant, _back_substitute, _column_scale, _householder_r,
+    _place, _response, _response_terms, _transform, build_design, fit,
 )
 
 __all__ = [
@@ -88,6 +91,10 @@ _MASK32 = 0xFFFFFFFF
 # Cells drawn together: enough to spread numpy's cost per call, few enough
 # that the draws' temporaries stay about as small as a sweep row's arrays.
 _DRAW_CELLS = 2048
+# The longest kernel numpy's convolution sums with its unrolled
+# small_correlate rather than with a dot
+_SMALL_CORRELATE = 11
+_SQUARE_OVERFLOW = 2.0**512
 
 
 def generate_synthetic(r, alpha, beta, gamma, x0, n) -> np.ndarray:
@@ -105,10 +112,22 @@ def generate_synthetic(r, alpha, beta, gamma, x0, n) -> np.ndarray:
 
 
 def eps_params(estimated, truth) -> float:
-    """Squared parameter-recovery error: sum of squared componentwise gaps."""
+    """Squared parameter-recovery error: sum of squared componentwise gaps,
+    inf when a square overflows."""
     p, l, q = (float(v) for v in estimated)
     a, b, c = (float(v) for v in truth)
-    return (p - a) ** 2 + (l - b) ** 2 + (q - c) ** 2
+    x, y, z = _squares(np.array([p - a, l - b, q - c]))
+    return x + y + z
+
+
+def _squares(gaps: np.ndarray) -> list[float]:
+    """``g ** 2`` of each gap as a float power, which goes through libm
+    ``pow`` and can differ from ``g * g`` in the last bit; inf for
+    |g| >= 2**512, whose square overflows and where ``**`` raises
+    OverflowError.  Below 2**512 the square is at least an ulp under the
+    largest double, so ``pow`` cannot overflow there."""
+    gaps = np.where(np.abs(gaps) >= _SQUARE_OVERFLOW, math.inf, gaps)
+    return [g**2 for g in gaps.ravel().tolist()]
 
 
 @dataclass(frozen=True)
@@ -174,9 +193,9 @@ class SweepCell:
 def run_sweep(config: SweepConfig) -> list[SweepCell]:
     """Evaluate every (r, alpha) cell; failures are recorded, not fatal.
 
-    Cells are mutually independent; this runner walks them one r row at a
-    time, in grid order (see the module docstring for what runs per row
-    and what per cell).  A cell is ``fit_failed`` exactly where
+    Cells are mutually independent; this runner computes them one r row
+    at a time, in grid order (see the module docstring for how a row is
+    batched).  A cell is ``fit_failed`` exactly where
     ``generate_synthetic``, ``fit``, ``predict`` or ``evaluate`` would
     raise a GreycastError for it, or its recovery error is not finite:
     a singular design, a = 0 to roundoff or |a| >= 2, a non-finite
@@ -279,27 +298,70 @@ def _lcg_step(hi, lo, inc):
 
 def _responses(x0, params, n: int) -> np.ndarray:
     """(len(x0), n) array of response rows at k = 1..n, one per x0 and
-    (p, q, g) parameter set."""
-    x0 = np.array(x0, dtype=float)[:, None]
-    p, q, g = np.array(params, dtype=float).reshape(-1, 3).T[:, :, None]
+    column (p, q, g) of a (3, len(x0)) parameter array."""
+    x0 = np.asarray(x0, dtype=float)[:, None]
+    p, q, g = np.asarray(params, dtype=float)[:, :, None]
     return _response(x0, p, _response_terms(x0, p, q, g), np.arange(1.0, n + 1))
 
 
 def _convolve_rows(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Truncated ``np.convolve`` of each row with ``kernel``: (inverse)
-    accumulation, one call per row, as a batched sum would round differently."""
+    """``np.convolve(row, kernel)[:n]`` of each row of a (cells, n) array,
+    for a kernel of length n: the (inverse) accumulation of every row, with
+    the bits of one ``np.convolve`` call per row.
+
+    ``np.convolve`` correlates the row with the reversed kernel, made
+    contiguous.  Output k < n - 1 is numpy's ``DOUBLE_dot`` (BLAS ddot) of
+    ``row[:k+1]`` with the reversed kernel's last k + 1 entries; a stacked
+    vector-vector matmul calls the same dot, so one matmul per k covers all
+    rows.  Output n - 1 takes the same dot for n > 11, but for n <= 11
+    numpy's unrolled ``small_correlate``, a sequential sum from 0.0, which
+    elementwise adds over the rows repeat.  ``tests/test_sweep.py::
+    test_convolve_rows_equals_np_convolve`` pins this, so a numpy or BLAS
+    release that rounded otherwise would fail a test rather than change
+    the CSV.
+    """
     n = kernel.size
-    return np.array([np.convolve(row, kernel)[:n] for row in rows]).reshape(rows.shape)
+    rev = np.ascontiguousarray(kernel[::-1])
+    out = np.empty(rows.shape)
+    dots = n - 1 if n <= _SMALL_CORRELATE else n
+    for k in range(dots):
+        out[:, k] = (rows[:, None, : k + 1] @ rev[n - 1 - k :, None])[:, 0, 0]
+    if dots < n:
+        total = np.zeros(len(rows))
+        for j in range(n):
+            total = total + rows[:, j] * rev[j]
+        out[:, n - 1] = total
+    return out
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of each element; ``np.log`` may differ in the last bit."""
+    return np.array(list(map(math.log, x.tolist())))
+
+
+def _optimised_rows(a, b, c) -> np.ndarray:
+    """(3, cells) array of the (alpha, beta, gamma) that ``optimize_params``
+    gives for each cell's (a, b, c), NaN where it raises: an a outside
+    A_FLOOR <= |a| < 2 becomes NaN, which also keeps ``math.log`` from
+    ratios <= 0.  A NaN a, which it passes, gives NaN here too."""
+    a = np.where((A_FLOOR <= np.abs(a)) & (np.abs(a) < 2), a, math.nan)
+    return np.array(_transform(a, b, c, _log))
+
+
+def _eps_rows(estimated, truth) -> np.ndarray:
+    """:func:`eps_params` of each cell from (3, cells) arrays of estimated
+    and true parameters: its gaps and sums, in its order, and its squares."""
+    squares = np.reshape(_squares(estimated - truth), estimated.shape)
+    return squares[0] + squares[1] + squares[2]
 
 
 def _sweep_row(r: float, alphas, draws, n: int) -> list[SweepCell]:
     """The cells of one r row; ``draws`` holds the row's beta, gamma and x0
     arrays."""
     forward, inverse = forward_coeffs(r, n), inverse_coeffs(r, n)
-    betas, gammas, starts = draws.tolist()
-    truths = list(zip(alphas, betas, gammas))
+    truth = np.vstack([alphas, draws[:2]])
     # generate_synthetic
-    raw = _convolve_rows(_responses(starts, truths, n), inverse)
+    raw = _convolve_rows(_responses(draws[2], truth, n), inverse)
     # fit(raw, r, FAGM11K, n) up to the QR, each cell a column of the design
     design, response = build_design(_convolve_rows(raw, forward).T, ModelVariant.FAGM11K)
     scale = _column_scale(design)
@@ -310,50 +372,36 @@ def _sweep_row(r: float, alphas, draws, n: int) -> list[SweepCell]:
     # solve_least_squares for all cells at once, as (cells,) arrays
     R = _householder_r(aug)
     diag = np.abs([R[k][k] for k in range(m)])
-    singular = (diag.min(axis=0) <= REL_RANK_TOL * diag.max(axis=0)).tolist()
-    phi = np.array(_back_substitute(R, m)) / scale
-    bases = phi.T.tolist()
-    x0s = raw[:, 0].tolist()  # the fitted models' x0
+    singular = diag.min(axis=0) <= REL_RANK_TOL * diag.max(axis=0)
+    base = np.array(_place(np.array(_back_substitute(R, m)) / scale, ModelVariant.FAGM11K))
+    opt = _optimised_rows(*base)
+    x0 = raw[:, 0]  # the fitted models' x0
 
-    # Per cell, what fit and optimize_params raise or FittedModel rejects
-    # fails the cell, and so does a recovery error that is not finite.
-    live, eps, fitted = [], [], []
-    for j, (x0, truth) in enumerate(zip(x0s, truths)):
-        if singular[j]:
-            continue
-        base = _place(bases[j], ModelVariant.FAGM11K)
-        if not all(map(math.isfinite, (x0, *base))):
-            continue
-        try:
-            opt = optimize_params(BaseParams(*base))
-        except GreycastError:
-            continue
-        opt = (opt.alpha, opt.beta, opt.gamma)
-        if not all(map(math.isfinite, opt)):
-            continue
-        pair = (eps_params(base, truth), eps_params(opt, truth))
-        if all(map(math.isfinite, pair)):
-            live.append(j)
-            eps.append(pair)
-            fitted += [(x0, base), (x0, opt)]
+    # What fit and optimize_params raise for, or FittedModel rejects, fails a
+    # cell, and so does a recovery error that is not finite.  The truth is
+    # finite, so a non-finite (a, b, c) or (alpha, beta, gamma) gives a
+    # non-finite recovery error; a non-finite x0 is an unscorable observed
+    # value, which fails the cell below.
+    eps = np.array([_eps_rows(base, truth), _eps_rows(opt, truth)])
+    ok = ~singular & np.isfinite(eps).all(axis=0)
 
-    # predict(model, 0) and evaluate(raw, ...).rmspe for both models of each
-    # live cell: predict raises for a restored value that is not finite, and
-    # evaluate for an observed value that gives no relative error
-    restored = _convolve_rows(
-        _responses([x0 for x0, _ in fitted], [ps for _, ps in fitted], n), inverse
-    )
-    observed = np.repeat(raw[live], 2, axis=0)
-    rmspe = _rms_pct((restored - observed) / observed)
-    finite = np.isfinite(restored).all(axis=1).reshape(-1, 2).all(axis=1)
-    scorable = ~_unscorable(raw).any(axis=1)
+    # predict(model, 0) and evaluate(raw, ...).rmspe for the plain, then the
+    # optimised, model of each cell: predict raises for a restored value
+    # that is not finite, and evaluate for an observed value that gives no
+    # relative error.  Each row of these arrays is computed on its own, so
+    # the rows of cells failed above change nothing.
+    restored = _convolve_rows(_responses(np.tile(x0, 2), np.hstack([base, opt]), n), inverse)
+    observed = np.tile(raw, (2, 1))
+    rmspe = np.reshape(_rms_pct((restored - observed) / observed), (2, -1))
+    ok &= np.isfinite(restored).all(axis=1).reshape(2, -1).all(axis=0)
+    ok &= ~_unscorable(raw).any(axis=1)
 
     nan = math.nan
-    cells = [SweepCell(r, alpha, nan, nan, nan, nan, "fit_failed") for alpha in alphas]
-    for i, j in enumerate(live):
-        if finite[i] and scorable[j]:
-            cells[j] = SweepCell(r, alphas[j], *eps[i], *rmspe[2 * i : 2 * i + 2], "ok")
-    return cells
+    return [
+        SweepCell(r, alpha, *values, "ok") if good
+        else SweepCell(r, alpha, nan, nan, nan, nan, "fit_failed")
+        for alpha, good, values in zip(alphas, ok.tolist(), np.vstack([eps, rmspe]).T.tolist())
+    ]
 
 
 def write_sweep_csv(cells, path) -> None:

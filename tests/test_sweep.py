@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from greycast import metrics, models, sweep
-from greycast.accumulation import accumulate
+from greycast.accumulation import accumulate, forward_coeffs, inverse_coeffs
 from greycast.errors import DevelopmentCoefficientOutOfRange, GreycastError
 from greycast.metrics import evaluate
-from greycast.models import ModelVariant, fit, predict
+from greycast.models import A_FLOOR, BaseParams, ModelVariant, fit, optimize_params, predict
 from greycast.sweep import (
     SWEEP_CSV_HEADER,
     SweepCell,
@@ -76,6 +76,71 @@ class TestEpsParams:
 
     def test_unit_offsets_sum(self):
         assert eps_params((1, 1, 1), (0, 0, 0)) == 3.0
+
+    @pytest.mark.parametrize("gap", [1e200, -1e200, 2.0**512, 1e308])
+    def test_overflowing_square_is_inf(self, gap):
+        # a float ** raises OverflowError where the square overflows
+        assert eps_params((gap, 0, 0), (0, 0, 0)) == math.inf
+        assert eps_params((0, 0, 1.0), (0, gap, 0)) == math.inf
+
+    def test_largest_square_below_overflow_is_finite(self):
+        gap = math.nextafter(2.0**512, 0)
+        assert eps_params((gap, 0, 0), (0, 0, 0)) == gap**2 < math.inf
+
+
+def same_bits(got, want) -> np.ndarray:
+    """Elementwise: equal float64 bits, or both NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return (got.view(np.uint64) == want.view(np.uint64)) | (np.isnan(got) & np.isnan(want))
+
+
+def random_params(rng, size) -> np.ndarray:
+    """(3, size) parameters of random sign over magnitudes 1e-5 to 1e5."""
+    return rng.choice([-1.0, 1.0], (3, size)) * 10.0 ** rng.uniform(-5, 5, (3, size))
+
+
+def power_eps(estimated, truth) -> float:
+    """The recovery error spelled out with float powers, inf where one
+    raises OverflowError."""
+    try:
+        return sum((e - t) ** 2 for e, t in zip(estimated, truth))
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eps_rows_equal_eps_params():
+    rng = np.random.default_rng(22)
+    estimated, truth = random_params(rng, 10**5), random_params(rng, 10**5)
+    # gaps whose square overflows, or nearly does, and non-finite ones
+    edges = [2.0**512, math.nextafter(2.0**512, 0), -1e200, 1e154, math.inf, math.nan, -0.0]
+    estimated[rng.integers(3, size=70), rng.integers(10**5, size=70)] = edges * 10
+    want = [power_eps(e, t) for e, t in zip(estimated.T.tolist(), truth.T.tolist())]
+    got = [eps_params(e, t) for e, t in zip(estimated.T.tolist(), truth.T.tolist())]
+    assert same_bits(got, want).all()
+    assert same_bits(sweep._eps_rows(estimated, truth), want).all()
+    assert math.inf in want
+
+
+def test_optimised_rows_equal_optimize_params():
+    rng = np.random.default_rng(23)
+    below = math.nextafter(A_FLOOR, 0)
+    edges = [A_FLOOR, -A_FLOOR, below, -below, math.nextafter(2.0, 0), -math.nextafter(2.0, 0),
+             2.0, -2.0, math.nan, math.inf, 0.0]
+    base = random_params(rng, 10**5)
+    base[0] = rng.uniform(-2.2, 2.2, 10**5)
+    base[0, : len(edges)] = edges
+    got = sweep._optimised_rows(*base)
+    for j, (a, b, c) in enumerate(base.T.tolist()):
+        try:
+            want = optimize_params(BaseParams(a, b, c))
+        except GreycastError:
+            assert np.isnan(got[:, j]).all(), (a, b, c)
+        else:
+            assert same_bits(got[:, j], (want.alpha, want.beta, want.gamma)).all(), (a, b, c)
+    # both floors and 2 - ulp transform; below the floor, +-2, NaN, inf and 0 do not
+    passed = [True] * 2 + [False] * 2 + [True] * 2 + [False] * 5
+    assert (~np.isnan(got[0, : len(edges)])).tolist() == passed
 
 
 def small_config(**kwargs):
@@ -287,11 +352,14 @@ def grid_config(r_steps, alpha_steps, seed, alpha_bounds, n_points=11):
 
 # |alpha| up to 40 pushes the plain fit's a to |a| >= 2 in some cells, so
 # the optimised transform fails there and the cell is fit_failed.  Explicit
-# ids keep each 11-point input's id stable as inputs are added.
+# ids keep each 11-point input's id stable as inputs are added.  At 12 and
+# 17 points every convolution output is a dot (see sweep._convolve_rows).
 @pytest.mark.parametrize(
     "alpha_bounds, n_points",
-    [((-1.99, 1.99), 11), ((-40.0, 40.0), 11), ((-1.99, 1.99), 6), ((-40.0, 40.0), 6)],
-    ids=["alpha_bounds0", "alpha_bounds1", "alpha_bounds0-6", "alpha_bounds1-6"],
+    [((-1.99, 1.99), 11), ((-40.0, 40.0), 11), ((-1.99, 1.99), 6), ((-40.0, 40.0), 6),
+     ((-1.99, 1.99), 12), ((-40.0, 40.0), 12), ((-1.99, 1.99), 17), ((-40.0, 40.0), 17)],
+    ids=["alpha_bounds0", "alpha_bounds1", "alpha_bounds0-6", "alpha_bounds1-6",
+         "alpha_bounds0-12", "alpha_bounds1-12", "alpha_bounds0-17", "alpha_bounds1-17"],
 )
 @pytest.mark.parametrize("seed", [0, 42, 7])
 def test_one_fit_cells_equal_the_two_fit_cells(seed, alpha_bounds, n_points):
@@ -302,6 +370,26 @@ def test_one_fit_cells_equal_the_two_fit_cells(seed, alpha_bounds, n_points):
     assert repr(got) == repr(want)  # bitwise, NaN fields included
     if alpha_bounds[1] > 2:
         assert any(c.status == "fit_failed" for c in got)
+
+
+# Lengths 2..40 cross numpy's 11-tap small_correlate limit and OpenBLAS
+# ddot's 16-element block.
+@pytest.mark.parametrize("n", range(2, 41))
+@pytest.mark.parametrize("kernel", [forward_coeffs, inverse_coeffs])
+def test_convolve_rows_equals_np_convolve(kernel, n):
+    rng = np.random.default_rng(n)
+    coeffs = kernel(rng.uniform(0.05, 2.0), n)
+    rows = random_params(rng, 20 * n).reshape(60, n)
+    special = [math.inf, -math.inf, math.nan, -0.0, 1e308, -1e308, 5e-324, -2.2e-310]
+    mask = rng.random(rows.shape) < 0.05
+    rows[mask] = rng.choice(special, mask.sum())
+    rows[0], rows[1] = np.resize(special, n), -0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = sweep._convolve_rows(rows, coeffs)
+        want = [np.convolve(row, coeffs)[:n] for row in rows]
+    assert got.shape == rows.shape
+    assert same_bits(got, want).all()
+    assert sweep._convolve_rows(np.empty((0, n)), coeffs).shape == (0, n)
 
 
 def single_cell(r, alpha, seed):
