@@ -411,9 +411,17 @@ def _response_terms(x0, p, q, g):
     alike.  p^2 is ``p * p``: a float ``p**2`` goes through libm ``pow``
     and raises OverflowError where ``p * p`` gives inf.
 
+    Float division by a p that is 0, or whose square underflows to 0,
+    raises ZeroDivisionError; the terms are then those of numpy's IEEE
+    division, +-inf or NaN, as for parameters held as numpy floats.
+
     With :func:`_response` this is the single copy of the formula.
     """
-    qp, qp2, gp = q / p, q / (p * p), g / p
+    try:
+        qp, qp2, gp = q / p, q / (p * p), g / p
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _response_terms(np.float64(x0), np.float64(p), q, g)
     return x0 - qp + qp2 - gp, qp, qp2, gp
 
 
@@ -509,8 +517,9 @@ def predict(model: FittedModel, horizon: int = 0) -> np.ndarray:
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     total = model.n_total + horizon
-    # An overflow ends in NonFiniteResult, so numpy's warnings add only noise.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # An overflow or a zero a ends in NonFiniteResult, so numpy's warnings
+    # add only noise.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         xr_hat = time_response(model, np.arange(1, total + 1))
         out = inverse_accumulate(xr_hat, model.r)
         # A finite sum means every value is finite; the sum alone can overflow.

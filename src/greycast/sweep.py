@@ -8,26 +8,31 @@ the restored values.  The optimised transform removes the trapezoid
 discretisation mismatch, so its recovery error sits at roundoff level
 while the plain model's error grows with |alpha|.
 
-The sweep runs one r row of the grid at a time, and every step of a cell
-runs once over the whole row, in a batched form that gives the same bits
-as the scalar call: the accumulation kernels are built once; each
-convolution is one BLAS dot call per output index over all rows, as
-``np.convolve`` makes one per row (:func:`_convolve_rows`); the response,
-the design, its column scaling and the RMSPE are array expressions; the
-least-squares solve is one stacked LAPACK QR of the row's scaled
-``[B | Y]`` matrices, followed by the back-substitution of
-:func:`~greycast.models.solve_least_squares` on arrays over the row's
+The sweep runs the grid in blocks of whole r rows, about ``_BLOCK_CELLS``
+cells a block, and every step of a cell runs once over the whole block,
+in a batched form that gives the same bits as the scalar call: the
+accumulation kernels are built once per r and repeated over its row;
+each convolution is one BLAS dot call per output index over all the
+block's series, each with its own row's kernel, as ``np.convolve`` makes
+one per series (:func:`_convolve_rows`); the response, the design, its
+column scaling and the RMSPE are array expressions; the least-squares
+solve is one stacked LAPACK QR of the block's scaled ``[B | Y]``
+matrices, followed by the back-substitution of
+:func:`~greycast.models.solve_least_squares` on arrays over the block's
 cells; the transform to (alpha, beta, gamma) is
 :func:`~greycast.models._transform` on arrays with ``math.log`` mapped
 over them (``np.log`` may differ from it in the last bit); and the
 recovery errors square each gap with a float power (``x * x`` may differ
 from ``x ** 2``).  What ``fit`` and ``optimize_params`` raise for becomes
-a mask over the row.  The plain and optimised variants solve the same
+a mask over the block.  The plain and optimised variants solve the same
 design, so the least-squares solve runs once per cell, and the optimised
 parameters come from the plain model's (a, b, c), exactly as
 :func:`~greycast.models.fit` computes them for the optimised variant.
 The CSV bytes are therefore those of a cell built with
-``generate_synthetic``, ``fit``, ``predict`` and ``evaluate``.
+``generate_synthetic``, ``fit``, ``predict`` and ``evaluate``, whatever
+the block size.  Each cell is a tuple (:class:`SweepCell`); the cells of
+a row share one r float object and every row shares the grid's alpha
+objects, so :func:`write_sweep_csv` formats each of them once.
 
 Determinism: cell (r_index, alpha_index) draws beta, gamma and x0, in
 that order, from PCG64 seeded with ``SeedSequence([seed, r_index,
@@ -46,11 +51,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .accumulation import _check_order, forward_coeffs, inverse_accumulate, inverse_coeffs
 from .datasets import _whole
+from .errors import NonFiniteResult
 from .metrics import _rms_pct, _unscorable
 # fit is not called here, but perfbench's tracer test looks it up as
 # greycast.sweep.fit.
@@ -80,6 +87,7 @@ GAMMA_RANGE = (0.0, 100.0)
 X0_RANGE = (1.0, 2.0)
 
 SWEEP_CSV_HEADER = "r,alpha,eps_fagm,eps_fagmo,rmspe_fagm,rmspe_fagmo,status"
+_STATUS = ("fit_failed", "ok")  # a cell's status, indexed by whether it is ok
 
 # numpy's SeedSequence hash constants, and the 64-bit halves of PCG64's
 # 128-bit LCG multiplier
@@ -88,9 +96,10 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
 _MASK32 = 0xFFFFFFFF
-# Cells drawn together: enough to spread numpy's cost per call, few enough
-# that the draws' temporaries stay about as small as a sweep row's arrays.
-_DRAW_CELLS = 2048
+# Cells drawn and fitted together, in whole r rows and at least one row:
+# enough to spread numpy's cost per call, few enough that the block's
+# temporaries keep a sweep's peak memory near that of one row at a time.
+_BLOCK_CELLS = 512
 # The longest kernel numpy's convolution sums with its unrolled
 # small_correlate rather than with a dot
 _SMALL_CORRELATE = 11
@@ -100,15 +109,23 @@ _SQUARE_OVERFLOW = 2.0**512
 def generate_synthetic(r, alpha, beta, gamma, x0, n) -> np.ndarray:
     """Raw series whose order-r accumulation satisfies the optimised
     response exactly: evaluate the response for k = 1..n, then restore
-    with the inverse accumulation."""
+    with the inverse accumulation.  Raises ValueError for a zero alpha or
+    a non-finite parameter, and NonFiniteResult when a value of the
+    series is not finite (an alpha near 0 or a response that overflows)."""
     n = _whole(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if not all(math.isfinite(v) for v in (alpha, beta, gamma, x0)):
+        raise ValueError("alpha, beta, gamma and x0 must be finite")
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    terms = _response_terms(x0, alpha, beta, gamma)
-    xr = _response(x0, alpha, terms, np.arange(1.0, n + 1))
-    return inverse_accumulate(xr, r)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        terms = _response_terms(x0, alpha, beta, gamma)
+        xr = _response(x0, alpha, terms, np.arange(1.0, n + 1))
+        raw = inverse_accumulate(xr, r)
+    if not np.isfinite(raw).all():
+        raise NonFiniteResult(f"synthetic value {np.argmin(np.isfinite(raw)) + 1} is not finite")
+    return raw
 
 
 def eps_params(estimated, truth) -> float:
@@ -179,8 +196,7 @@ class SweepConfig:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(NamedTuple):
     r: float
     alpha: float
     eps_fagm: float
@@ -193,34 +209,42 @@ class SweepCell:
 def run_sweep(config: SweepConfig) -> list[SweepCell]:
     """Evaluate every (r, alpha) cell; failures are recorded, not fatal.
 
-    Cells are mutually independent; this runner computes them one r row
-    at a time, in grid order (see the module docstring for how a row is
-    batched).  A cell is ``fit_failed`` exactly where
+    Cells are mutually independent; this runner computes them in blocks
+    of whole r rows, in grid order (see the module docstring for how a
+    block is batched).  A cell is ``fit_failed`` exactly where
     ``generate_synthetic``, ``fit``, ``predict`` or ``evaluate`` would
     raise a GreycastError for it, or its recovery error is not finite:
     a singular design, a = 0 to roundoff or |a| >= 2, a non-finite
     parameter or restored value, or a synthetic series with a 0 or
     non-finite value.
     """
+    rs = [float(r) for r in config.r_grid]
     alphas = [float(alpha) for alpha in config.alpha_grid]
-    rows = zip(config.r_grid, _draws(config.seed, len(config.r_grid), len(alphas)))
+    block = _block_rows(len(alphas))
+    blocks = zip(range(0, len(rs), block), _draws(config.seed, len(rs), len(alphas)))
     cells: list[SweepCell] = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for r, draws in rows:
-            cells += _sweep_row(float(r), alphas, draws, config.n_points)
+        for start, draws in blocks:
+            cells += _sweep_block(rs[start : start + block], alphas, draws, config.n_points)
     return cells
 
 
+def _block_rows(cols: int) -> int:
+    """r rows per block of a grid with ``cols`` alphas: about
+    ``_BLOCK_CELLS`` cells, and at least one row."""
+    return max(1, _BLOCK_CELLS // cols)
+
+
 def _draws(seed: int, rows: int, cols: int) -> Iterator[np.ndarray]:
-    """The draws of r rows i = 0..rows-1 in turn, each a (3, cols) array
-    whose column j holds what ``default_rng([seed, i, j])`` draws by
+    """The draws of blocks of whole r rows in turn, :func:`_block_rows` rows
+    a block, each a (3, cells) array in grid order: the column of cell
+    (i, j) holds what ``default_rng([seed, i, j])`` draws by
     ``uniform(*BETA_RANGE)``, ``uniform(*GAMMA_RANGE)`` and
-    ``uniform(*X0_RANGE)``, bit for bit, for i and j below 2**32.  Whole
-    rows are drawn together, about ``_DRAW_CELLS`` cells at a time."""
-    block = max(1, _DRAW_CELLS // cols)
+    ``uniform(*X0_RANGE)``, bit for bit, for i and j below 2**32."""
+    block = _block_rows(cols)
     for start in range(0, rows, block):
-        i, j = np.indices((min(block, rows - start), cols), dtype=np.uint32)
-        yield from np.stack(_draw_cells(seed, i + start, j), axis=1)
+        i, j = np.indices((min(block, rows - start), cols), dtype=np.uint32).reshape(2, -1)
+        yield np.array(_draw_cells(seed, i + start, j))
 
 
 def _draw_cells(seed: int, i: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
@@ -304,10 +328,11 @@ def _responses(x0, params, n: int) -> np.ndarray:
     return _response(x0, p, _response_terms(x0, p, q, g), np.arange(1.0, n + 1))
 
 
-def _convolve_rows(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """``np.convolve(row, kernel)[:n]`` of each row of a (cells, n) array,
-    for a kernel of length n: the (inverse) accumulation of every row, with
-    the bits of one ``np.convolve`` call per row.
+def _convolve_rows(rows: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """``np.convolve(row, kernel)[:n]`` of each row of a (cells, n) array
+    with the same row of a (cells, n) array of kernels: the (inverse)
+    accumulation of every row, each at its own order, with the bits of one
+    ``np.convolve`` call per row.
 
     ``np.convolve`` correlates the row with the reversed kernel, made
     contiguous.  Output k < n - 1 is numpy's ``DOUBLE_dot`` (BLAS ddot) of
@@ -320,16 +345,16 @@ def _convolve_rows(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     release that rounded otherwise would fail a test rather than change
     the CSV.
     """
-    n = kernel.size
-    rev = np.ascontiguousarray(kernel[::-1])
+    n = kernels.shape[1]
+    rev = np.ascontiguousarray(kernels[:, ::-1])
     out = np.empty(rows.shape)
     dots = n - 1 if n <= _SMALL_CORRELATE else n
     for k in range(dots):
-        out[:, k] = (rows[:, None, : k + 1] @ rev[n - 1 - k :, None])[:, 0, 0]
+        out[:, k] = (rows[:, None, : k + 1] @ rev[:, n - 1 - k :, None])[:, 0, 0]
     if dots < n:
         total = np.zeros(len(rows))
         for j in range(n):
-            total = total + rows[:, j] * rev[j]
+            total = total + rows[:, j] * rev[:, j]
         out[:, n - 1] = total
     return out
 
@@ -355,11 +380,14 @@ def _eps_rows(estimated, truth) -> np.ndarray:
     return squares[0] + squares[1] + squares[2]
 
 
-def _sweep_row(r: float, alphas, draws, n: int) -> list[SweepCell]:
-    """The cells of one r row; ``draws`` holds the row's beta, gamma and x0
-    arrays."""
-    forward, inverse = forward_coeffs(r, n), inverse_coeffs(r, n)
-    truth = np.vstack([alphas, draws[:2]])
+def _sweep_block(rs, alphas, draws, n: int) -> list[SweepCell]:
+    """The cells of a block of whole r rows, in grid order; ``draws`` holds
+    the block's beta, gamma and x0 arrays, one column per cell."""
+    cols = len(alphas)
+    # one kernel of each kind per cell, built once per r
+    forward = np.repeat([forward_coeffs(r, n) for r in rs], cols, axis=0)
+    inverse = np.repeat([inverse_coeffs(r, n) for r in rs], cols, axis=0)
+    truth = np.vstack([np.tile(alphas, len(rs)), draws[:2]])
     # generate_synthetic
     raw = _convolve_rows(_responses(draws[2], truth, n), inverse)
     # fit(raw, r, FAGM11K, n) up to the QR, each cell a column of the design
@@ -390,28 +418,47 @@ def _sweep_row(r: float, alphas, draws, n: int) -> list[SweepCell]:
     # that is not finite, and evaluate for an observed value that gives no
     # relative error.  Each row of these arrays is computed on its own, so
     # the rows of cells failed above change nothing.
-    restored = _convolve_rows(_responses(np.tile(x0, 2), np.hstack([base, opt]), n), inverse)
+    restored = _convolve_rows(
+        _responses(np.tile(x0, 2), np.hstack([base, opt]), n), np.vstack([inverse, inverse])
+    )
     observed = np.tile(raw, (2, 1))
     rmspe = np.reshape(_rms_pct((restored - observed) / observed), (2, -1))
     ok &= np.isfinite(restored).all(axis=1).reshape(2, -1).all(axis=0)
     ok &= ~_unscorable(raw).any(axis=1)
 
-    nan = math.nan
-    return [
-        SweepCell(r, alpha, *values, "ok") if good
-        else SweepCell(r, alpha, nan, nan, nan, nan, "fit_failed")
-        for alpha, good, values in zip(alphas, ok.tolist(), np.vstack([eps, rmspe]).T.tolist())
-    ]
+    # A failed cell's four values are the one math.nan object, so that equal
+    # sweeps compare equal: tuples compare fields by identity first.
+    values = np.vstack([eps, rmspe]).tolist()
+    for i in np.flatnonzero(~ok).tolist():
+        for column in values:
+            column[i] = math.nan
+    r_col = [r for r in rs for _ in range(cols)]
+    status = [_STATUS[good] for good in ok.tolist()]
+    return list(map(SweepCell, r_col, alphas * len(rs), *values, status))
 
 
 def write_sweep_csv(cells, path) -> None:
-    """One row per cell, full double precision, grid order."""
+    """One row per cell, full double precision, grid order.
+
+    The cells of a sweep share their r and alpha float objects, so each
+    object is formatted once.  Its repr is looked up by identity, not by
+    value, since 0.0 == -0.0 and NaN != NaN; ``held`` keeps each formatted
+    object alive, so no id is reused while the file is written.
+    """
+    texts: dict[int, str] = {}
+    held = []
+
+    def text(x) -> str:
+        held.append(x)
+        texts[id(x)] = out = repr(x)
+        return out
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(SWEEP_CSV_HEADER + "\n")
-        for c in cells:
+        for r, alpha, eps_fagm, eps_fagmo, rmspe_fagm, rmspe_fagmo, status in cells:
             fh.write(
-                f"{c.r!r},{c.alpha!r},{c.eps_fagm!r},{c.eps_fagmo!r},"
-                f"{c.rmspe_fagm!r},{c.rmspe_fagmo!r},{c.status}\n"
+                f"{texts.get(id(r)) or text(r)},{texts.get(id(alpha)) or text(alpha)},"
+                f"{eps_fagm!r},{eps_fagmo!r},{rmspe_fagm!r},{rmspe_fagmo!r},{status}\n"
             )
 
 

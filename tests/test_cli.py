@@ -336,6 +336,27 @@ class TestForecast:
             values = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
             assert np.isfinite(values).all()
 
+    # q / a and q / a^2 divide by zero as floats: a^2 underflows for 1e-300
+    @pytest.mark.parametrize("a", [0.0, -0.0, 1e-300, -5e-324])
+    def test_zero_development_coefficient_exits_3(self, a, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        code, _, _ = run(
+            ["fit", NUCLEAR, "--model", "fagm11k", "--order", "1.1595", "--out", str(model)],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(model.read_text())
+        doc["a"] = a
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        code, _, stderr = run(
+            ["forecast", "--model", str(model), "--horizon", "2", "--out", str(out)], capsys
+        )
+        assert code == 3
+        assert stderr.startswith("error: NonFiniteResult: ")
+        assert "Traceback" not in stderr
+        assert not out.exists()
+
     def test_large_finite_forecast_exits_0(self, nuclear_model, tmp_path, capsys):
         out = tmp_path / "f.csv"
         code, _, _ = run(

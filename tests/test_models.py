@@ -432,6 +432,24 @@ class TestPredict:
             with pytest.raises(NonFiniteResult, match="overflows"):
                 predict(model, 20000)
 
+    # Python floats, which from_dict gives, raise ZeroDivisionError for a = 0
+    # or an a whose square underflows; numpy floats, which fit gives, divide
+    # to inf or NaN with a warning.
+    @pytest.mark.parametrize("a", [0.0, -0.0, 1e-300, -5e-324])
+    def test_zero_development_coefficient_raises_alike_for_both_float_types(self, a):
+        fitted = fit(load_bundled("nuclear").values, 1.1595, ModelVariant.FAGM11K, 10)
+        held = replace(fitted, base=replace(fitted.base, a=np.float64(a)))
+        loaded = FittedModel.from_dict(held.to_dict())
+        assert type(held.base.a) is np.float64 and type(loaded.base.a) is float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for model in (held, loaded):
+                with pytest.raises(NonFiniteResult):
+                    predict(model, 2)
+        k = np.arange(1.0, 6.0)
+        with np.errstate(all="ignore"):
+            assert time_response(held, k).tobytes() == time_response(loaded, k).tobytes()
+
     def test_negative_horizon_rejected(self):
         model = fit(load_bundled("nuclear").values, 1.0, ModelVariant.GM11, 10)
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 
 from greycast import metrics, models, sweep
 from greycast.accumulation import accumulate, forward_coeffs, inverse_coeffs
-from greycast.errors import DevelopmentCoefficientOutOfRange, GreycastError
+from greycast.errors import DevelopmentCoefficientOutOfRange, GreycastError, NonFiniteResult
 from greycast.metrics import evaluate
 from greycast.models import A_FLOOR, BaseParams, ModelVariant, fit, optimize_params, predict
 from greycast.sweep import (
@@ -61,6 +61,21 @@ class TestGenerateSynthetic:
     def test_rejects_zero_alpha(self):
         with pytest.raises(ValueError):
             generate_synthetic(1.0, 0.0, 1.0, 1.0, 1.0, 11)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(4))
+    def test_rejects_non_finite_parameters(self, position, bad):
+        params = [-0.4, 2.0, 30.0, 1.7]  # alpha, beta, gamma, x0
+        params[position] = bad
+        with pytest.raises(ValueError, match="finite"):
+            generate_synthetic(0.8, *params, 11)
+
+    # 1e-300 squares to 0, so the response divides by zero; -800 overflows
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [1e-300, -1e-300, 5e-324, -800.0])
+    def test_non_finite_series_raises(self, alpha):
+        with pytest.raises(NonFiniteResult):
+            generate_synthetic(0.5, alpha, 1.0, 1.0, 1.0, 6)
 
     def test_length_must_be_a_whole_number(self):
         with pytest.raises(ValueError):
@@ -219,6 +234,85 @@ class TestRunSweep:
         assert summary["max_eps_fagmo"] <= summary["max_eps_fagm"]
 
 
+def sweep_grid(rows, alphas):
+    """``rows`` orders over R_BOUNDS against the given alphas."""
+    return SweepConfig(r_grid=tuple(np.linspace(*sweep.R_BOUNDS, rows)), alpha_grid=alphas,
+                       n_points=11, seed=9)
+
+
+# Block sizes of 1 cell, 7 cells, one row and the default, on grids with more
+# alphas than 7 (and than the default) hold, so each block is one row; with
+# 3 alphas, so 7-cell blocks hold 2 rows and the last holds 1; whose default
+# blocks hold 5 of its 7 rows; and of one cell.
+@pytest.mark.parametrize(
+    "config",
+    [sweep_grid(7, tuple(np.linspace(-1.99, 1.99, 100))),
+     sweep_grid(5, (-1.5, 0.4, 1.9)),
+     sweep_grid(2, tuple(np.linspace(0.02, 1.99, sweep._BLOCK_CELLS + 8))),
+     sweep_grid(1, (0.7,))],
+    ids=["7x100", "5x3", "2xwide", "1x1"],
+)
+def test_block_size_does_not_change_the_cells(monkeypatch, config):
+    assert 7 % sweep._block_rows(100) and sweep._block_rows(100) > 1
+    want = repr(run_sweep(config))
+    for cells in (1, 7, len(config.alpha_grid)):
+        monkeypatch.setattr(sweep, "_BLOCK_CELLS", cells)
+        assert repr(run_sweep(config)) == want, cells
+
+
+def reference_csv(cells) -> bytes:
+    """The sweep CSV of ``cells``, one f-string per line."""
+    lines = ["r,alpha,eps_fagm,eps_fagmo,rmspe_fagm,rmspe_fagmo,status\n"]
+    for c in cells:
+        lines.append(
+            f"{c.r!r},{c.alpha!r},{c.eps_fagm!r},{c.eps_fagmo!r},"
+            f"{c.rmspe_fagm!r},{c.rmspe_fagmo!r},{c.status}\n"
+        )
+    return "".join(lines).encode()
+
+
+def test_csv_bytes_equal_a_per_line_reference(tmp_path):
+    # Values whose repr a value-keyed cache gets wrong or whose lookups it
+    # misses: 0.0 == -0.0, NaN != NaN, equal values in distinct objects.
+    nan, same = math.nan, float("0.25")
+    r_values = [0.25, same, float("0.25"), -0.0, 0.0, nan, float("nan"), math.inf, 5e-324]
+    alpha_values = [0.0, -0.0, 0.0, nan, -math.inf, 1.0, float("1.0"), -1e308, same]
+    cells = [SweepCell(r, alpha, 1e-20, -0.0, nan, math.inf, "ok" if k % 2 else "fit_failed")
+             for k, (r, alpha) in enumerate(zip(r_values, alpha_values))]
+    cells += [SweepCell(r, -0.0, float(k), 0.1, 0.2, 0.3, "ok") for k, r in enumerate(r_values)]
+    path = tmp_path / "hand.csv"
+    write_sweep_csv(cells, path)
+    data = path.read_bytes()
+    assert data == reference_csv(cells)
+    assert b"\n0.25,0.0,1e-20," in data and b"\n0.25,-0.0,1e-20," in data
+
+
+def fresh_cells():
+    """Cells built one at a time, so each one's floats are freed after its line
+    is written and their ids come free for the next cell's."""
+    for k in range(200):
+        yield SweepCell(k / 8, -k / 16, 0.0, -0.0, k * 1e-9, math.nan, "ok")
+
+
+def test_csv_of_cells_built_on_the_fly(tmp_path):
+    path = tmp_path / "fresh.csv"
+    write_sweep_csv(fresh_cells(), path)
+    assert path.read_bytes() == reference_csv(list(fresh_cells()))
+
+
+def test_sweep_cell_repr_and_immutability():
+    cell = SweepCell(0.5, -0.0, 1e-20, math.nan, math.inf, 0.125, "ok")
+    assert repr(cell) == (
+        "SweepCell(r=0.5, alpha=-0.0, eps_fagm=1e-20, eps_fagmo=nan, rmspe_fagm=inf, "
+        "rmspe_fagmo=0.125, status='ok')"
+    )
+    assert (cell.r, cell.alpha, cell.status) == (0.5, -0.0, "ok")
+    assert cell == SweepCell(0.5, 0.0, 1e-20, cell.eps_fagmo, math.inf, 0.125, "ok")
+    for name in ("r", "status"):
+        with pytest.raises(AttributeError):
+            setattr(cell, name, 1.0)
+
+
 class TestConfig:
     def test_regular_grid_respects_dead_zone(self):
         # an odd-length alpha grid would hit 0 exactly; it must be dropped
@@ -320,10 +414,13 @@ def cell_draws(seed, i, j):
 )
 def test_vectorised_draws_equal_default_rng(seed):
     rng = np.random.default_rng(seed % 997)
-    # rows drawn in two blocks, the second short; then one row per block
-    for rows, cols in [(37, 100), (3, sweep._DRAW_CELLS + 1)]:
-        draws = np.array(list(sweep._draws(seed, rows, cols)))
-        assert draws.shape == (rows, 3, cols)
+    # rows drawn in blocks of several rows, the last short; then one row per block
+    wide = sweep._BLOCK_CELLS + 1
+    assert sweep._block_rows(100) > 1 and 37 % sweep._block_rows(100)
+    assert sweep._block_rows(wide) == 1
+    for rows, cols in [(37, 100), (3, wide)]:
+        draws = np.hstack(list(sweep._draws(seed, rows, cols))).reshape(3, rows, cols)
+        draws = draws.transpose(1, 0, 2)
         sample = [(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)]
         sample += zip(rng.integers(rows, size=24).tolist(), rng.integers(cols, size=24).tolist())
         for i, j in sample:
@@ -378,18 +475,19 @@ def test_one_fit_cells_equal_the_two_fit_cells(seed, alpha_bounds, n_points):
 @pytest.mark.parametrize("kernel", [forward_coeffs, inverse_coeffs])
 def test_convolve_rows_equals_np_convolve(kernel, n):
     rng = np.random.default_rng(n)
-    coeffs = kernel(rng.uniform(0.05, 2.0), n)
+    # each row with a kernel of its own order
+    kernels = np.array([kernel(r, n) for r in rng.uniform(0.05, 2.0, 60)])
     rows = random_params(rng, 20 * n).reshape(60, n)
     special = [math.inf, -math.inf, math.nan, -0.0, 1e308, -1e308, 5e-324, -2.2e-310]
     mask = rng.random(rows.shape) < 0.05
     rows[mask] = rng.choice(special, mask.sum())
     rows[0], rows[1] = np.resize(special, n), -0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        got = sweep._convolve_rows(rows, coeffs)
-        want = [np.convolve(row, coeffs)[:n] for row in rows]
+        got = sweep._convolve_rows(rows, kernels)
+        want = [np.convolve(row, coeffs)[:n] for row, coeffs in zip(rows, kernels)]
     assert got.shape == rows.shape
     assert same_bits(got, want).all()
-    assert sweep._convolve_rows(np.empty((0, n)), coeffs).shape == (0, n)
+    assert sweep._convolve_rows(np.empty((0, n)), np.empty((0, n))).shape == (0, n)
 
 
 def single_cell(r, alpha, seed):
