@@ -274,19 +274,29 @@ def build_design(series_r, variant: ModelVariant, nu: int | None = None):
     c = 0 drop the last.  An (n, B) batch of series gives a (nu-1, m, B)
     design and a (nu-1, B) response, one system per column.
     """
+    columns, response = _design_columns(series_r, variant, nu)
+    design = np.empty((response.shape[0], len(columns)) + response.shape[1:])
+    for i, col in enumerate(columns):
+        design[:, i] = col
+    return design, response
+
+
+def _design_columns(series_r, variant: ModelVariant, nu: int | None = None):
+    """The design's columns, in order, and its response, as :func:`build_design`
+    places them.  Only column 0, -z, depends on the series: it is (nu-1, B)
+    for an (n, B) batch, and the (2k - 1)/2 and intercept columns are
+    (nu-1, 1), the same for every series in it ((nu-1,) each for a 1-d
+    series)."""
     series_r = np.asarray(series_r, dtype=float)
     if series_r.ndim not in (1, 2):
         raise ValueError("expected a 1-d accumulated series or an (n, B) batch of them")
     nu = _train_size(series_r.shape[0], nu)
     xr = series_r[:nu]
-    k = np.arange(2, nu + 1).reshape((nu - 1,) + (1,) * (xr.ndim - 1))
-    columns = (-(0.5 * (xr[:-1] + xr[1:])), (2 * k - 1) / 2.0, 1.0)
-    layout = _LAYOUT[variant]
-    design = np.empty((nu - 1, len(layout) - layout.count(None)) + xr.shape[1:])
-    for col, i in zip(columns, layout):
-        if i is not None:
-            design[:, i] = col
-    return design, xr[1:] - xr[:-1]
+    k = np.arange(2.0, nu + 1).reshape((nu - 1,) + (1,) * (xr.ndim - 1))
+    # k - 0.5 is (2k - 1)/2 exactly, in one operation
+    every = (-(0.5 * (xr[:-1] + xr[1:])), k - 0.5, np.ones(k.shape))
+    columns = [col for col, i in zip(every, _LAYOUT[variant]) if i is not None]
+    return columns, xr[1:] - xr[:-1]
 
 
 def _place(phi, variant: ModelVariant):
@@ -510,8 +520,9 @@ def predict(model: FittedModel, horizon: int = 0) -> np.ndarray:
 
     Evaluates the response at k = 1..n_total+horizon and applies the
     inverse accumulation at the model's order.  Element 1 equals the
-    anchored initial value exactly.  Raises NonFiniteResult when a value
-    overflows; finite values, however large, are returned.
+    anchored initial value exactly.  Raises NonFiniteResult, naming the
+    first value that overflows or is NaN; finite values, however large,
+    are returned.
     """
     horizon = _whole(horizon)
     if horizon < 0:
@@ -525,7 +536,9 @@ def predict(model: FittedModel, horizon: int = 0) -> np.ndarray:
         # A finite sum means every value is finite; the sum alone can overflow.
         finite = math.isfinite(out.sum()) or np.isfinite(out).all()
     if not finite:
-        raise NonFiniteResult(f"restored value {np.argmin(np.isfinite(out)) + 1} overflows")
+        k = int(np.argmin(np.isfinite(out)))
+        cause = "is NaN" if math.isnan(out[k]) else "overflows"
+        raise NonFiniteResult(f"restored value {k + 1} {cause}")
     return out
 
 

@@ -17,11 +17,15 @@ order at once, in chunks along a batch axis, with the failure rules of
 :func:`~greycast.models.fit`, :func:`~greycast.models.predict` and
 :func:`~greycast.metrics.evaluate` (for a singular design, a pivot rule
 on the normal equations in place of fit's rank test on R).  It calls the
-model's own code for the design (``build_design`` takes the batch), the
-column scaling, the placement of (a, b, c), the optimised transform and
-the response.  Two stages are the kernel's own, because the shared code
-would either change the kernel's bits, and with them the profile CSV,
-or cost more than the kernel saves:
+model's own code for the design's columns (``_design_columns``, which
+``build_design`` assembles, takes the batch), the column scaling, the
+placement of (a, b, c), the optimised transform and the response.  Only
+design column 0, -z, depends on the order: the (2k - 1)/2 and intercept
+columns, their scales and their block G[1:, 1:] of the normal matrix are
+the same for every order in a chunk, so the kernel computes them once
+per chunk and shares them.  Two stages are the kernel's own, because the
+shared code would either change the kernel's bits, and with them the
+profile CSV, or cost more than the kernel saves:
 
 - accumulation and restoration (``_convolve``), lag-wise shifted
   multiply-adds, because ``np.convolve`` sums in a different order;
@@ -29,9 +33,10 @@ or cost more than the kernel saves:
   a pivoted elimination on them (``_solve_batch``).  ``fit`` solves by a
   Householder QR instead, which does not square the design's condition
   number, but one stacked QR of the default grid's 19,901 systems of size
-  10x4 takes about 27 ms, against 39 ms for the whole kernel on the
-  14-point oilfield series (2-vCPU x86-64, numpy 2.4 on OpenBLAS).  The
-  kernel only ranks candidates; the rescoring below decides the result.
+  10x4 takes 16-27 ms, against 20-35 ms for the whole kernel on the
+  14-point oilfield series, timed side by side (2-vCPU x86-64, numpy 2.4
+  on OpenBLAS; the host's speed drifted between runs).  The kernel only
+  ranks candidates; the rescoring below decides the result.
 
 The kernel uses elementwise operations only and sums in index order, so
 an order's score depends on that order alone, never on the chunk it
@@ -58,8 +63,8 @@ import numpy as np
 from .errors import GreycastError, NoFeasibleOrder
 from .metrics import _check_pair, evaluate
 from .models import (
-    A_FLOOR, ModelVariant, _column_scale, _place, _response, _response_terms,
-    _training_window, _transform, build_design, fit, predict,
+    A_FLOOR, ModelVariant, _column_scale, _design_columns, _place, _response,
+    _response_terms, _training_window, _transform, fit, predict,
 )
 
 __all__ = ["OrderSearchConfig", "OrderSearchResult", "search_order"]
@@ -168,7 +173,9 @@ def _kernels(r: np.ndarray, n: int, forward: bool) -> np.ndarray:
     factors = np.empty((n, r.size))
     factors[0] = 1.0
     factors[1:] = (r + i - 1) / i if forward else (i - 1 - r) / i
-    return np.cumprod(factors, axis=0)
+    for lag in range(2, n):  # np.cumprod's products in its order, faster
+        factors[lag] *= factors[lag - 1]
+    return factors
 
 
 def _solve_batch(G: np.ndarray, h: np.ndarray):
@@ -179,26 +186,29 @@ def _solve_batch(G: np.ndarray, h: np.ndarray):
     is singular, where a pivot falls below REL_PIVOT_TOL times the largest
     entry of G; those hold garbage.
     """
-    m, _, batch = G.shape
-    cols = np.arange(batch)
+    m = G.shape[0]
     scale = np.abs(G).max(axis=(0, 1))  # exact: max does not round
     failed = scale == 0.0
     for col in range(m):
-        p = col + np.argmax(np.abs(G[col:, col]), axis=0)
-        failed |= np.abs(G[p, col, cols]) < REL_PIVOT_TOL * scale
-        g_col, g_p = G[col].copy(), G[p, :, cols].T
-        G[p, :, cols] = g_col.T
-        G[col] = g_p
-        h_col, h_p = h[col].copy(), h[p, cols]
-        h[p, cols] = h_col
-        h[col] = h_p
+        size = np.abs(G[col:, col])
+        p = np.argmax(size, axis=0)
+        failed |= size.max(axis=0) < REL_PIVOT_TOL * scale  # the size at p
+        # Swap rows col and col + p from column col on (the columns left of
+        # it are read no more); row col swaps with at most one row below.
+        g_col, h_col = G[col, col:].copy(), h[col].copy()
+        for row in range(col + 1, m):
+            swap = p == row - col
+            G[col, col:] = np.where(swap, G[row, col:], G[col, col:])
+            G[row, col:] = np.where(swap, g_col, G[row, col:])
+            h[col] = np.where(swap, h[row], h[col])
+            h[row] = np.where(swap, h_col, h[row])
         for row in range(col + 1, m):
             f = G[row, col] / G[col, col]
             G[row, col:] -= f * G[col, col:]
             h[row] -= f * h[col]
-    out = np.empty((m, batch))
+    out = np.empty(h.shape)
     for row in range(m - 1, -1, -1):
-        acc = np.zeros(batch)
+        acc = np.zeros(h.shape[1])
         for j in range(row + 1, m):
             acc += G[row, j] * out[j]
         out[row] = (h[row] - acc) / G[row, row]
@@ -209,14 +219,30 @@ def _fit_chunk(x, r, variant: ModelVariant, nu: int):
     """Batched ``fit``: active parameters (p, q, g) of every order in ``r``
     (B,) and a mask of the orders whose fit fails."""
     xr = _convolve(_kernels(r, nu, forward=True), x[:nu, None])
-    B, d = build_design(xr, variant)
-    scale = _column_scale(B)
-    B /= scale
-    # normal equations, summed row by row
-    G = _sum0(row[:, None] * row[None, :] for row in B)
-    h = _sum0(row * d_row for row, d_row in zip(B, d))
-    phi, failed = _solve_batch(G, h)
-    p, q, g = _place(phi / scale, variant)
+    (z, *const), d = _design_columns(xr, variant)
+    const = np.concatenate(const, axis=1)
+    z_scale, const_scale = _column_scale(z), _column_scale(const)
+    z /= z_scale
+    const /= const_scale
+    # The normal equations G phi = h, summed row by row.  Only column 0
+    # (-z) depends on the order: one pass sums the products that hold it
+    # or d, G[1:, 1:] is summed once and shared, and G[j, 0] = G[0, j]
+    # exactly, as x * y == y * x.
+    m = 1 + const.shape[1]
+    rows = np.empty((d.shape[0], 2 * m, r.size))  # z*z, z*const, z*d, d*const
+    np.multiply(z, z, out=rows[:, 0])
+    np.multiply(const[:, :, None], z[:, None], out=rows[:, 1:m])
+    np.multiply(z, d, out=rows[:, m])
+    np.multiply(const[:, :, None], d[:, None], out=rows[:, m + 1 :])
+    sums = _sum0(rows)
+    G = np.empty((m, m, r.size))
+    G[0] = sums[:m]
+    G[1:, 0] = sums[1:m]
+    G[1:, 1:] = _sum0(row[:, None] * row[None, :] for row in const)[:, :, None]
+    phi, failed = _solve_batch(G, sums[m:])
+    phi[0] /= z_scale
+    phi[1:] /= const_scale[:, None]
+    p, q, g = _place(phi, variant)
     if variant.optimized:
         failed |= (np.abs(p) < A_FLOOR) | (np.abs(p) >= 2)
         p, q, g = _transform(p, q, g, np.log)

@@ -357,6 +357,22 @@ class TestForecast:
         assert "Traceback" not in stderr
         assert not out.exists()
 
+    def test_nan_forecast_names_nan_as_the_cause(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        code, _, _ = run(
+            ["fit", NUCLEAR, "--model", "fagm11k", "--order", "1.1595", "--out", str(model)],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(model.read_text())
+        doc["a"] = 0.0
+        model.write_text(json.dumps(doc))
+        code, _, stderr = run(
+            ["forecast", "--model", str(model), "--out", str(tmp_path / "o.csv")], capsys
+        )
+        assert code == 3
+        assert stderr == "error: NonFiniteResult: restored value 2 is NaN\n"
+
     def test_large_finite_forecast_exits_0(self, nuclear_model, tmp_path, capsys):
         out = tmp_path / "f.csv"
         code, _, _ = run(

@@ -450,6 +450,15 @@ class TestPredict:
         with np.errstate(all="ignore"):
             assert time_response(held, k).tobytes() == time_response(loaded, k).tobytes()
 
+    def test_nan_restored_value_is_named_as_nan(self):
+        # a = 0 makes the response's b/a and b/a^2 terms infinite, and
+        # their difference NaN; "overflows" would name the wrong cause
+        fitted = fit(load_bundled("nuclear").values, 1.1595, ModelVariant.FAGM11K, 10)
+        doc = fitted.to_dict()
+        doc["a"] = 0.0
+        with pytest.raises(NonFiniteResult, match=r"^restored value 2 is NaN$"):
+            predict(FittedModel.from_dict(doc), 2)
+
     def test_negative_horizon_rejected(self):
         model = fit(load_bundled("nuclear").values, 1.0, ModelVariant.GM11, 10)
         with pytest.raises(ValueError):

@@ -18,7 +18,9 @@ from greycast.errors import (
     ZeroObserved,
 )
 from greycast.metrics import evaluate
-from greycast.models import ModelVariant, fit, predict
+from greycast.models import (
+    A_FLOOR, ModelVariant, _column_scale, _place, _transform, build_design, fit, predict,
+)
 from greycast.order_search import (
     REL_PIVOT_TOL, OrderSearchConfig, OrderSearchResult, search_order,
 )
@@ -212,6 +214,54 @@ def test_batched_solve_matches_the_scalar_pivoted_solve():
             np.testing.assert_allclose(got[:, i], want, rtol=1e-12, atol=1e-12)
 
 
+def test_batched_solve_matches_the_fancy_index_solve_bit_for_bit():
+    rng = np.random.default_rng(11)
+    pivots = []
+
+    def check(systems, h):
+        G = np.stack(systems, axis=-1)
+        h = np.array(h, dtype=float).T
+        with np.errstate(all="ignore"):
+            want = reference_solve_batch(G.copy(), h.copy(), pivots)
+            got = order_search._solve_batch(G, h)
+        assert got[0].view(np.uint64).tolist() == want[0].view(np.uint64).tolist()
+        assert got[1].tolist() == want[1].tolist()
+
+    # 3x3: pivot rows below the diagonal at every column, tied pivot
+    # magnitudes (argmax takes the first), NaN and inf entries, all zeros
+    drawn = rng.normal(size=(3, 3, 200))
+    draw_pivots = []
+    reference_solve_batch(drawn.copy(), np.ones((3, 200)), draw_pivots)
+    swaps = (draw_pivots[0] > 0) & (draw_pivots[1] > 0)
+    swap_every = list(np.moveaxis(drawn[:, :, swaps], -1, 0))
+    assert len(swap_every) >= 20
+    ties = [np.array([[1.0, 2.0, 3.0], [-1.0, 4.0, 1.0], [1.0, 0.5, 2.0]]),
+            np.array([[0.5, 2.0, 3.0], [2.0, 1.0, 1.0], [-2.0, 0.5, 2.0]]),
+            np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])]
+    special = []
+    for bad in (math.nan, math.inf, -math.inf):
+        for i, j in ((0, 0), (1, 0), (2, 1), (1, 2)):
+            g = rng.normal(size=(3, 3))
+            g[i, j] = bad
+            special.append(g)
+    systems = swap_every + ties + special + [np.zeros((3, 3))]
+    h = rng.normal(size=(len(systems), 3))
+    h[-2] = [1.0, math.nan, math.inf]
+    check(systems, h)
+    assert ((pivots[0] > 0) & (pivots[1] > 0))[: len(swap_every)].all()
+    assert pivots[0][len(swap_every)] == 0  # the first of two equal magnitudes
+    assert pivots[0][len(swap_every) + 1] == 1
+    # 2x2, the zero-slope variants' systems
+    pivots.clear()
+    systems = [rng.normal(size=(2, 2)) for _ in range(10)]
+    for g in systems:
+        g[0, 0] = 0.1 * g[1, 0]
+    systems += [np.array([[1.0, 2.0], [-1.0, 1.0]]), np.array([[math.nan, 1.0], [1.0, 1.0]]),
+                np.zeros((2, 2))]
+    check(systems, rng.normal(size=(len(systems), 2)))
+    assert (pivots[0][:10] == 1).all()
+
+
 def reference_search(values, cfg):
     """The scan the kernel replaced: fit, predict and evaluate every order.
 
@@ -352,3 +402,120 @@ def test_roundoff_plateau_returns_a_tied_order():
     assert got.objective_value < 1e-12 and want.objective_value < 1e-12
     model = fit(values, got.r, ModelVariant.FAGMO11K, 4)
     assert evaluate(values, predict(model, 0), 4).rmspe == got.objective_value
+
+
+# --- the kernel's pieces before they shared the order-independent work ---
+
+
+def reference_kernels(r, n, forward):
+    """Accumulation weights as ``np.cumprod`` of the lag factors."""
+    i = np.arange(1, n, dtype=float)[:, None]
+    factors = np.empty((n, r.size))
+    factors[0] = 1.0
+    factors[1:] = (r + i - 1) / i if forward else (i - 1 - r) / i
+    return np.cumprod(factors, axis=0)
+
+
+def reference_solve_batch(G, h, pivots=None):
+    """Pivoted elimination that swaps whole rows by fancy-index gathers and
+    scatters; appends each column's pivot offset to ``pivots`` if given."""
+    m, _, batch = G.shape
+    cols = np.arange(batch)
+    scale = np.abs(G).max(axis=(0, 1))
+    failed = scale == 0.0
+    for col in range(m):
+        p = col + np.argmax(np.abs(G[col:, col]), axis=0)
+        if pivots is not None:
+            pivots.append(p - col)
+        failed |= np.abs(G[p, col, cols]) < REL_PIVOT_TOL * scale
+        g_col, g_p = G[col].copy(), G[p, :, cols].T
+        G[p, :, cols] = g_col.T
+        G[col] = g_p
+        h_col, h_p = h[col].copy(), h[p, cols]
+        h[p, cols] = h_col
+        h[col] = h_p
+        for row in range(col + 1, m):
+            f = G[row, col] / G[col, col]
+            G[row, col:] -= f * G[col, col:]
+            h[row] -= f * h[col]
+    out = np.empty((m, batch))
+    for row in range(m - 1, -1, -1):
+        acc = np.zeros(batch)
+        for j in range(row + 1, m):
+            acc += G[row, j] * out[j]
+        out[row] = (h[row] - acc) / G[row, row]
+    return out, failed
+
+
+def reference_fit_chunk(x, r, variant, nu):
+    """Normal equations summed row by row over the full (rows, m, B) design."""
+    xr = order_search._convolve(reference_kernels(r, nu, forward=True), x[:nu, None])
+    B, d = build_design(xr, variant)
+    scale = _column_scale(B)
+    B /= scale
+    G = order_search._sum0(row[:, None] * row[None, :] for row in B)
+    h = order_search._sum0(row * d_row for row, d_row in zip(B, d))
+    phi, failed = reference_solve_batch(G, h)
+    p, q, g = _place(phi / scale, variant)
+    if variant.optimized:
+        failed |= (np.abs(p) < A_FLOOR) | (np.abs(p) >= 2)
+        p, q, g = _transform(p, q, g, np.log)
+    if variant.order_locked:
+        failed |= r != 1.0
+    return p, q, g, failed
+
+
+def reference_score_grid(values, rs, variant, nu, objective):
+    """``_score_grid`` on the reference pieces, all orders in one chunk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(order_search, "_kernels", reference_kernels)
+        mp.setattr(order_search, "_fit_chunk", reference_fit_chunk)
+        mp.setattr(order_search, "CHUNK_ELEMENTS", values.size * rs.size)
+        return order_search._score_grid(values, rs, variant, nu, objective)
+
+
+# the default grid's span at step 0.01; it holds r = 1 exactly, which the
+# order-locked variants fit
+KERNEL_GRID = order_search._grid(OrderSearchConfig(step=0.01))
+# accumulates past the float range at the largest orders of the grid
+OVERFLOWING = np.array([1.0, 1.2, 0.9, 1.3, 1.1, 1.4]) * 1e307
+KERNEL_SERIES = list(BUNDLED_NU) + [f"synthetic{n}" for n in range(4, 49)] + ["ones6", "overflow"]
+
+
+def _kernel_series(name):
+    if name == "ones6":
+        return np.ones(6), 6
+    if name == "overflow":
+        return OVERFLOWING, 6
+    return _series(name)
+
+
+@pytest.mark.parametrize("name", KERNEL_SERIES)
+def test_kernel_matches_the_reference_pieces_bit_for_bit(name):
+    values, given_nu = _kernel_series(name)
+    assert 1.0 in KERNEL_GRID
+    failed = 0
+    for nu in sorted({given_nu, max(4, values.size - 2)}):
+        for variant in ModelVariant:
+            for objective in OBJECTIVES:
+                args = (values, KERNEL_GRID, variant, nu, objective)
+                want = reference_score_grid(*args)
+                got = order_search._score_grid(*args)
+                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), (
+                    nu, variant, objective)
+                failed += np.isnan(want).sum()
+    # both outcomes are compared: some orders fail and some fit
+    assert 0 < failed < len(ModelVariant) * KERNEL_GRID.size * 2 * 2
+
+
+@pytest.mark.parametrize("orders", [1, 7])
+@pytest.mark.parametrize("name", list(BUNDLED_NU) + ["synthetic48", "ones6", "overflow"])
+def test_kernel_bits_do_not_depend_on_the_chunk(name, orders, monkeypatch):
+    values, nu = _kernel_series(name)
+    for variant in (ModelVariant.FAGMO11K, ModelVariant.FAGM11, ModelVariant.GM11K):
+        rs = KERNEL_GRID[::3] if orders == 1 else KERNEL_GRID
+        want = reference_score_grid(values, rs, variant, nu, "rmspe")
+        with monkeypatch.context() as mp:
+            mp.setattr(order_search, "CHUNK_ELEMENTS", orders * values.size)
+            got = order_search._score_grid(values, rs, variant, nu, "rmspe")
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), variant

@@ -1,11 +1,12 @@
 """Output bytes against the digests recorded in tools/output_digest.txt.
 
-The full tool also hashes the other searches, the other 100x100 sweeps
-and the other CLI runs; these tests recompute only the library lines,
-the 30x30 sweep, the 100x100 sweeps at seed 0 and at the two-word seed
-9628820819983981567 (the path perfbench's sweep seeds take), the nuclear
-searches and the ``reproduce`` runs, which take about three seconds together.  A change that means to alter outputs
-regenerates the file with
+The full tool also hashes the other 100x100 sweeps and the other CLI
+runs; these tests recompute only the library lines, the 30x30 sweep, the
+100x100 sweeps at seed 0 and at the two-word seed 9628820819983981567
+(the path perfbench's sweep seeds take), the 72 search lines of the
+three bundled series and the ``reproduce`` runs, which take about six
+seconds together.  A change that means to alter outputs regenerates the
+file with
 ``python tools/output_digest.py . > tools/output_digest.txt``.
 """
 
@@ -54,11 +55,11 @@ def test_reproduce_runs_match_the_recorded_digests(tmp_path, capsys):
     assert [line for line in lines if line not in recorded] == []
 
 
-def test_nuclear_searches_match_the_recorded_digests(tmp_path, capsys):
+def test_bundled_searches_match_the_recorded_digests(tmp_path, capsys):
     # The kernel's bits reach the profile CSVs; the scalar scan tests
     # compare those values only to a relative 1e-4.
     recorded = recorded_lines()
-    tool.digest_searches(tmp_path, names=("nuclear",))
+    tool.digest_searches(tmp_path)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(tool.SEARCH_VARIANTS) * 2 * 2 * 2 == 24
+    assert len(lines) == 3 * len(tool.SEARCH_VARIANTS) * 2 * 2 * 2 == 72
     assert [line for line in lines if line not in recorded] == []
