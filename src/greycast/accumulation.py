@@ -13,6 +13,14 @@ for every r > 0, which is what makes forecast restoration lossless.
 Formulas and docs are 1-indexed (series element k = 1..n); storage is
 0-indexed, so ``x[k - 1]`` holds element k and kernel entry i is the
 weight at lag i.
+
+``fit``/``predict``, the sweep and the order-search kernel all call
+:func:`_weights` and :func:`_convolve`, which round one way: w(i) =
+w(i-1) * ((r+i-1)/i) (inverse: ``((i-1-r)/i)``), and output k is 0.0 +
+w(0) x[k] + w(1) x[k-1] + ... + w(k) x[0], added left to right.  So a
+series gives the same bits alone, in a batch or at a batch of orders, and
+output k depends only on lags up to k.  BLAS and ``np.convolve`` group
+the sum by length and library build, so neither is used.
 """
 
 from __future__ import annotations
@@ -32,6 +40,8 @@ __all__ = [
     "iago_matrix",
 ]
 
+_DENSE_MAX = 512  # longest series summed as one (n, n) product, not lag by lag
+
 
 def _check_order(r) -> float:
     r = float(r)
@@ -49,43 +59,79 @@ def _check_series(values) -> np.ndarray:
     return values
 
 
-def forward_coeffs(r, n) -> np.ndarray:
-    """First ``n`` forward kernel weights, lags 0..n-1.
-
-    Built by the recurrence w(i) = w(i-1) * (r+i-1) / i, which avoids
-    factorial overflow; at r = 1 every weight is exactly 1.  The
-    recurrence runs on Python floats, which round exactly as float64
-    array elements do.
-    """
-    r = _check_order(r)
+def _check_length(n) -> int:
     n = _whole(n)
     if n < 1:
         raise ValueError(f"kernel length must be >= 1, got {n}")
-    w = 1.0
-    out = [w]
-    for i in range(1, n):
-        w = w * (r + i - 1) / i
-        out.append(w)
-    return np.array(out)
+    return n
+
+
+def _weights(r, n: int, forward: bool) -> np.ndarray:
+    """Forward or inverse lag weights 0..n-1 of order ``r``: an (n,) array
+    for a float r, built on Python floats, which round as float64 elements
+    do and never warn, or one column per order of a (B,) array of r."""
+    if isinstance(r, float):
+        w, out = 1.0, [1.0]
+        for i in range(1, n):
+            w *= (r + i - 1) / i if forward else (i - 1 - r) / i
+            out.append(w)
+        return np.array(out)
+    i = np.arange(1.0, n)[:, None]
+    out = np.empty((n, r.size))
+    out[0] = 1.0
+    out[1:] = (r + i - 1) / i if forward else (i - 1 - r) / i
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lag in range(2, n):
+            out[lag] *= out[lag - 1]
+    return out
+
+
+def _lags(v: np.ndarray) -> np.ndarray:
+    """(n, n) view of a 1-d ``v`` after n - 1 zeros: entry (j, k) is
+    v[k - j], and 0.0 where k < j."""
+    n = v.size
+    padded = np.zeros(2 * n - 1)
+    padded[n - 1 :] = v
+    return np.ndarray((n, n), buffer=padded, offset=8 * (n - 1), strides=(-8, 8))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as np.convolve, which never warns
+def _convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Truncated convolution along axis 0 of ``x``, (n,) or (n, B), with
+    weights ``w``, (n,) or (n, B); trailing axes broadcast as a batch.
+
+    A batch runs the lag loop.  One series with finite weights sums the
+    rows of its :func:`_lags` view times the weights instead: the same
+    products in the same order, in three numpy calls.  The padded zeros
+    add nothing (a finite weight times 0.0 is +-0.0, and a sum from 0.0 is
+    never -0.0); a non-finite weight times 0.0 is NaN.
+    """
+    n = x.shape[0]
+    if x.ndim == w.ndim == 1 and n <= _DENSE_MAX and math.isfinite(sum(w.tolist())):
+        return np.add.reduce(w[:, None] * _lags(x), axis=0, initial=0.0)
+    out = np.zeros((n,) + np.broadcast_shapes(x.shape[1:], w.shape[1:]))
+    for lag in range(n):
+        out[lag:] += w[lag] * x[: n - lag]
+    return out
+
+
+def forward_coeffs(r, n) -> np.ndarray:
+    """First ``n`` forward kernel weights, lags 0..n-1.
+
+    Built by the recurrence w(i) = w(i-1) * ((r+i-1)/i), which avoids
+    factorial overflow; at r = 1 every weight is exactly 1.
+    """
+    return _weights(_check_order(r), _check_length(n), forward=True)
 
 
 def inverse_coeffs(r, n) -> np.ndarray:
     """First ``n`` inverse kernel weights, lags 0..n-1.
 
-    Built by the recurrence w(i) = w(i-1) * (i-1-r) / i.  For integer r
+    Built by the recurrence w(i) = w(i-1) * ((i-1-r)/i).  For integer r
     the weights beyond lag r are exactly 0; for fractional r none
     vanishes, which the inverse property needs.
     """
-    r = _check_order(r)
-    n = _whole(n)
-    if n < 1:
-        raise ValueError(f"kernel length must be >= 1, got {n}")
-    w = 1.0
-    out = [w]
-    for i in range(1, n):
-        w = w * (i - 1 - r) / i
-        out.append(w)
-    return np.array(out)
+    return _weights(_check_order(r), _check_length(n), forward=False)
 
 
 def accumulate(values, r) -> np.ndarray:
@@ -96,22 +142,13 @@ def accumulate(values, r) -> np.ndarray:
     always equals element 1 of the input.
     """
     values = _check_series(values)
-    kernel = forward_coeffs(r, values.size)
-    return np.convolve(values, kernel)[: values.size]
+    return _convolve(values, forward_coeffs(r, values.size))
 
 
 def inverse_accumulate(values, r) -> np.ndarray:
     """Apply the r-IAGO; exact two-sided inverse of :func:`accumulate`."""
     values = _check_series(values)
-    kernel = inverse_coeffs(r, values.size)
-    return np.convolve(values, kernel)[: values.size]
-
-
-def _triangular(coeffs: np.ndarray) -> np.ndarray:
-    n = coeffs.size
-    j = np.arange(n)
-    lag = j[None, :] - j[:, None]
-    return np.where(lag >= 0, coeffs[np.clip(lag, 0, n - 1)], 0.0)
+    return _convolve(values, inverse_coeffs(r, values.size))
 
 
 def ago_matrix(n, r) -> np.ndarray:
@@ -119,9 +156,9 @@ def ago_matrix(n, r) -> np.ndarray:
 
     Upper triangular with a unit diagonal, hence determinant 1.
     """
-    return _triangular(forward_coeffs(r, n))
+    return _lags(forward_coeffs(r, n)).copy()
 
 
 def iago_matrix(n, r) -> np.ndarray:
     """n-by-n r-IAGO matrix, the inverse of :func:`ago_matrix`."""
-    return _triangular(inverse_coeffs(r, n))
+    return _lags(inverse_coeffs(r, n)).copy()

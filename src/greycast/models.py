@@ -439,26 +439,41 @@ def _response(x0, p, terms, k):
     """Closed-form response at float time indices ``k``, anchored to x0 at k = 1,
     from :func:`_response_terms` of the same x0 and (p, q, g).
 
-    :func:`time_response`, the sweep and the order-search kernel all call
-    both steps.  Parameters, terms and ``k`` broadcast, so ``k`` of shape
-    (n, 1) against parameters of shape (B,) gives one column per parameter
-    set.
+    :func:`time_response`, :func:`predict`, the sweep and the order-search
+    kernel all call both steps.  Parameters, terms and ``k`` broadcast, so
+    ``k`` of shape (n, 1) against parameters of shape (B,) gives one column
+    per parameter set.
     """
     const, qp, qp2, gp = terms
     out = const * np.exp(-p * (k - 1)) + qp * k - qp2 + gp
     return np.where(k == 1, x0, out)
 
 
+def _check_finite(values: np.ndarray, name) -> None:
+    """Raise NonFiniteResult naming ``name(i)``, i the first value's flat
+    index that is NaN or overflows.  Call it with numpy's overflow warning
+    off: a finite sum means all values are, but the sum can overflow."""
+    if math.isfinite(values.sum()) or np.isfinite(values).all():
+        return
+    i = int(np.argmin(np.isfinite(values)))
+    cause = "is NaN" if math.isnan(values.flat[i]) else "overflows"
+    raise NonFiniteResult(f"{name(i)} {cause}")
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def time_response(model: FittedModel, k):
     """Accumulated-series response at time index k (1-based, scalar or array).
 
-    k = 1 returns the anchored initial value exactly.
+    k = 1 returns the anchored initial value exactly.  Raises
+    NonFiniteResult, naming the first time index whose response overflows
+    or is NaN (as a = 0 makes it), without a numpy warning.
     """
     karr = np.asarray(k, dtype=float)
     if np.any(karr < 1):
         raise ValueError("time index must be >= 1")
     p, q, g = model.active_params
     out = _response(model.x0, p, _response_terms(model.x0, p, q, g), karr)
+    _check_finite(out, lambda i: f"response at time index {karr.flat[i]:.17g}")
     if np.isscalar(k) or np.ndim(k) == 0:
         return float(out)
     return out
@@ -482,6 +497,8 @@ def _training_window(values, nu: int | None):
     return values, _train_size(values.size, nu)
 
 
+# An overflow ends in NonFiniteResult, so numpy's warnings add only noise.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit(
     values,
     r: float,
@@ -515,6 +532,9 @@ def fit(
     )
 
 
+# An overflow or a zero a ends in NonFiniteResult, so numpy's warnings add
+# only noise.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def predict(model: FittedModel, horizon: int = 0) -> np.ndarray:
     """Restored (raw-scale) fitted values plus ``horizon`` future steps.
 
@@ -527,21 +547,15 @@ def predict(model: FittedModel, horizon: int = 0) -> np.ndarray:
     horizon = _whole(horizon)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    total = model.n_total + horizon
-    # An overflow or a zero a ends in NonFiniteResult, so numpy's warnings
-    # add only noise.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        xr_hat = time_response(model, np.arange(1, total + 1))
-        out = inverse_accumulate(xr_hat, model.r)
-        # A finite sum means every value is finite; the sum alone can overflow.
-        finite = math.isfinite(out.sum()) or np.isfinite(out).all()
-    if not finite:
-        k = int(np.argmin(np.isfinite(out)))
-        cause = "is NaN" if math.isnan(out[k]) else "overflows"
-        raise NonFiniteResult(f"restored value {k + 1} {cause}")
+    p, q, g = model.active_params
+    k = np.arange(1.0, model.n_total + horizon + 1)
+    xr_hat = _response(model.x0, p, _response_terms(model.x0, p, q, g), k)
+    out = inverse_accumulate(xr_hat, model.r)
+    _check_finite(out, lambda i: f"restored value {i + 1}")
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def discretization_gap(model: FittedModel, k: int) -> float:
     """Residual of the discrete basic equation on the continuous response.
 
@@ -549,7 +563,9 @@ def discretization_gap(model: FittedModel, k: int) -> float:
     model's response function and its least-squares (a, b, c).  For
     plain variants this quantifies the trapezoid-rule mismatch between
     the whitening equation and its discretisation; for optimised
-    variants the transform cancels it, leaving roundoff.
+    variants the transform cancels it, leaving roundoff.  Raises
+    NonFiniteResult, without a numpy warning, for a response or a gap that
+    overflows or is NaN.
     """
     k = _whole(k)
     if k < 2:
@@ -558,4 +574,6 @@ def discretization_gap(model: FittedModel, k: int) -> float:
     x_k = time_response(model, k)
     z = 0.5 * (x_prev + x_k)
     a, b, c = model.base.a, model.base.b, model.base.c
-    return (x_k - x_prev) + a * z - (b * (2 * k - 1) / 2.0 + c)
+    gap = (x_k - x_prev) + a * z - (b * (2 * k - 1) / 2.0 + c)
+    _check_finite(np.asarray(gap), lambda i: f"gap at k={k}")
+    return gap

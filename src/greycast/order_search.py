@@ -17,32 +17,29 @@ order at once, in chunks along a batch axis, with the failure rules of
 :func:`~greycast.models.fit`, :func:`~greycast.models.predict` and
 :func:`~greycast.metrics.evaluate` (for a singular design, a pivot rule
 on the normal equations in place of fit's rank test on R).  It calls the
-model's own code for the design's columns (``_design_columns``, which
-``build_design`` assembles, takes the batch), the column scaling, the
-placement of (a, b, c), the optimised transform and the response.  Only
-design column 0, -z, depends on the order: the (2k - 1)/2 and intercept
-columns, their scales and their block G[1:, 1:] of the normal matrix are
-the same for every order in a chunk, so the kernel computes them once
-per chunk and shares them.  Two stages are the kernel's own, because the
-shared code would either change the kernel's bits, and with them the
-profile CSV, or cost more than the kernel saves:
+model's own code for the accumulation and restoration (one column per
+order, each with ``accumulate``'s bits), the design's columns
+(``_design_columns``, which ``build_design`` assembles, takes the batch),
+the column scaling, the placement of (a, b, c), the optimised transform
+and the response.  Only design column 0, -z, depends on the order: the
+(2k - 1)/2 and intercept columns, their scales and their block G[1:, 1:]
+of the normal matrix are the same for every order in a chunk, so the
+kernel computes them once per chunk and shares them.
 
-- accumulation and restoration (``_convolve``), lag-wise shifted
-  multiply-adds, because ``np.convolve`` sums in a different order;
-- the least-squares solve: the normal equations, summed row by row, and
-  a pivoted elimination on them (``_solve_batch``).  ``fit`` solves by a
-  Householder QR instead, which does not square the design's condition
-  number, but one stacked QR of the default grid's 19,901 systems of size
-  10x4 takes 16-27 ms, against 20-35 ms for the whole kernel on the
-  14-point oilfield series, timed side by side (2-vCPU x86-64, numpy 2.4
-  on OpenBLAS; the host's speed drifted between runs).  The kernel only
-  ranks candidates; the rescoring below decides the result.
+Only the least-squares solve is the kernel's own: the normal equations,
+summed row by row, and a pivoted elimination on them (``_solve_batch``).
+``fit`` solves by a Householder QR instead, which does not square the
+design's condition number, but one stacked QR of the default grid's
+19,901 systems of size 10x4 takes 16-27 ms, against 20-35 ms for the
+whole kernel on the 14-point oilfield series, timed side by side (2-vCPU
+x86-64, numpy 2.4 on OpenBLAS; the host's speed drifted between runs).
+The kernel only ranks candidates; the rescoring below decides the result.
 
 The kernel uses elementwise operations only and sums in index order, so
 an order's score depends on that order alone, never on the chunk it
-falls in or on the grid around it.  Its sums run in a different order
-from the scalar pipeline's, so the two agree only to roundoff, which the
-response's b/a and c/a terms amplify where a nears 0.  The
+falls in or on the grid around it.  Its solve differs from the scalar
+pipeline's, so the two agree only to roundoff, which the response's b/a
+and c/a terms amplify where a nears 0.  The
 :data:`RESCORE` best kernel candidates are then scored again through
 ``fit``/``predict``/``evaluate``; those values replace the kernel's in
 the profile, and the smallest of them is the result, ties going to the
@@ -60,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .accumulation import _convolve, _weights
 from .errors import GreycastError, NoFeasibleOrder
 from .metrics import _check_pair, evaluate
 from .models import (
@@ -154,30 +152,6 @@ def _sum0(arrays) -> np.ndarray:
     return out
 
 
-def _convolve(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Truncated convolution of each column of ``kernel`` with ``x``.
-
-    ``kernel`` is (n, B) and ``x`` is (n, 1) or (n, B); lag-wise shifted
-    multiply-adds, the batched form of accumulate/inverse_accumulate.
-    """
-    n = kernel.shape[0]
-    out = np.zeros(kernel.shape)
-    for lag in range(n):
-        out[lag:] += kernel[lag] * x[: n - lag]
-    return out
-
-
-def _kernels(r: np.ndarray, n: int, forward: bool) -> np.ndarray:
-    """Forward or inverse accumulation weights, lags 0..n-1, one column per order."""
-    i = np.arange(1, n, dtype=float)[:, None]
-    factors = np.empty((n, r.size))
-    factors[0] = 1.0
-    factors[1:] = (r + i - 1) / i if forward else (i - 1 - r) / i
-    for lag in range(2, n):  # np.cumprod's products in its order, faster
-        factors[lag] *= factors[lag - 1]
-    return factors
-
-
 def _solve_batch(G: np.ndarray, h: np.ndarray):
     """Gaussian elimination with partial pivoting on a batch of normal
     equations: G is (m, m, B), h is (m, B).
@@ -218,7 +192,7 @@ def _solve_batch(G: np.ndarray, h: np.ndarray):
 def _fit_chunk(x, r, variant: ModelVariant, nu: int):
     """Batched ``fit``: active parameters (p, q, g) of every order in ``r``
     (B,) and a mask of the orders whose fit fails."""
-    xr = _convolve(_kernels(r, nu, forward=True), x[:nu, None])
+    xr = _convolve(x[:nu, None], _weights(r, nu, forward=True))
     (z, *const), d = _design_columns(xr, variant)
     const = np.concatenate(const, axis=1)
     z_scale, const_scale = _column_scale(z), _column_scale(const)
@@ -258,7 +232,7 @@ def _score_chunk(x, r, variant: ModelVariant, nu: int, objective: str) -> np.nda
     # time_response -> predict
     kk = np.arange(1, n + 1, dtype=float)[:, None]
     xr_hat = _response(x[0], p, _response_terms(x[0], p, q, g), kk)
-    restored = _convolve(_kernels(r, n, forward=False), xr_hat)
+    restored = _convolve(xr_hat, _weights(r, n, forward=False))
     # evaluate
     rel = (restored - x[:, None]) / x[:, None]
     if objective == "rmspepr":

@@ -11,13 +11,12 @@ while the plain model's error grows with |alpha|.
 The sweep runs the grid in blocks of whole r rows, about ``_BLOCK_CELLS``
 cells a block, and every step of a cell runs once over the whole block,
 in a batched form that gives the same bits as the scalar call: the
-accumulation kernels are built once per r and repeated over its row;
-each convolution is one BLAS dot call per output index over all the
-block's series, each with its own row's kernel, as ``np.convolve`` makes
-one per series (:func:`_convolve_rows`); the response, the design, its
-column scaling and the RMSPE are array expressions; the least-squares
-solve is one stacked LAPACK QR of the block's scaled ``[B | Y]``
-matrices, followed by the back-substitution of
+accumulation weights are built once per r and repeated over its row, and
+each (inverse) accumulation is one call of the shared convolution on the
+block's series, one per column (it adds a batch as it adds one series);
+the response, the design, its column scaling and the RMSPE are array
+expressions; the least-squares solve is one stacked LAPACK QR of the
+block's scaled ``[B | Y]`` matrices, followed by the back-substitution of
 :func:`~greycast.models.solve_least_squares` on arrays over the block's
 cells; the transform to (alpha, beta, gamma) is
 :func:`~greycast.models._transform` on arrays with ``math.log`` mapped
@@ -55,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .accumulation import _check_order, forward_coeffs, inverse_accumulate, inverse_coeffs
+from .accumulation import _check_order, _convolve, _weights, inverse_accumulate
 from .datasets import _whole
 from .errors import NonFiniteResult
 from .metrics import _rms_pct, _unscorable
@@ -100,9 +99,6 @@ _MASK32 = 0xFFFFFFFF
 # enough to spread numpy's cost per call, few enough that the block's
 # temporaries keep a sweep's peak memory near that of one row at a time.
 _BLOCK_CELLS = 512
-# The longest kernel numpy's convolution sums with its unrolled
-# small_correlate rather than with a dot
-_SMALL_CORRELATE = 11
 _SQUARE_OVERFLOW = 2.0**512
 
 
@@ -321,42 +317,11 @@ def _lcg_step(hi, lo, inc):
 
 
 def _responses(x0, params, n: int) -> np.ndarray:
-    """(len(x0), n) array of response rows at k = 1..n, one per x0 and
+    """(n, len(x0)) array of responses at k = 1..n, one column per x0 and
     column (p, q, g) of a (3, len(x0)) parameter array."""
-    x0 = np.asarray(x0, dtype=float)[:, None]
-    p, q, g = np.asarray(params, dtype=float)[:, :, None]
-    return _response(x0, p, _response_terms(x0, p, q, g), np.arange(1.0, n + 1))
-
-
-def _convolve_rows(rows: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """``np.convolve(row, kernel)[:n]`` of each row of a (cells, n) array
-    with the same row of a (cells, n) array of kernels: the (inverse)
-    accumulation of every row, each at its own order, with the bits of one
-    ``np.convolve`` call per row.
-
-    ``np.convolve`` correlates the row with the reversed kernel, made
-    contiguous.  Output k < n - 1 is numpy's ``DOUBLE_dot`` (BLAS ddot) of
-    ``row[:k+1]`` with the reversed kernel's last k + 1 entries; a stacked
-    vector-vector matmul calls the same dot, so one matmul per k covers all
-    rows.  Output n - 1 takes the same dot for n > 11, but for n <= 11
-    numpy's unrolled ``small_correlate``, a sequential sum from 0.0, which
-    elementwise adds over the rows repeat.  ``tests/test_sweep.py::
-    test_convolve_rows_equals_np_convolve`` pins this, so a numpy or BLAS
-    release that rounded otherwise would fail a test rather than change
-    the CSV.
-    """
-    n = kernels.shape[1]
-    rev = np.ascontiguousarray(kernels[:, ::-1])
-    out = np.empty(rows.shape)
-    dots = n - 1 if n <= _SMALL_CORRELATE else n
-    for k in range(dots):
-        out[:, k] = (rows[:, None, : k + 1] @ rev[:, n - 1 - k :, None])[:, 0, 0]
-    if dots < n:
-        total = np.zeros(len(rows))
-        for j in range(n):
-            total = total + rows[:, j] * rev[:, j]
-        out[:, n - 1] = total
-    return out
+    p, q, g = params
+    k = np.arange(1.0, n + 1)[:, None]
+    return _response(x0, p, _response_terms(x0, p, q, g), k)
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -384,14 +349,14 @@ def _sweep_block(rs, alphas, draws, n: int) -> list[SweepCell]:
     """The cells of a block of whole r rows, in grid order; ``draws`` holds
     the block's beta, gamma and x0 arrays, one column per cell."""
     cols = len(alphas)
-    # one kernel of each kind per cell, built once per r
-    forward = np.repeat([forward_coeffs(r, n) for r in rs], cols, axis=0)
-    inverse = np.repeat([inverse_coeffs(r, n) for r in rs], cols, axis=0)
+    # the weights of each kind, one column per cell, built once per r
+    forward, inverse = (np.repeat(_weights(np.array(rs), n, way), cols, axis=1)
+                        for way in (True, False))
     truth = np.vstack([np.tile(alphas, len(rs)), draws[:2]])
-    # generate_synthetic
-    raw = _convolve_rows(_responses(draws[2], truth, n), inverse)
+    # generate_synthetic, each cell's series a column
+    raw = _convolve(_responses(draws[2], truth, n), inverse)
     # fit(raw, r, FAGM11K, n) up to the QR, each cell a column of the design
-    design, response = build_design(_convolve_rows(raw, forward).T, ModelVariant.FAGM11K)
+    design, response = build_design(_convolve(raw, forward), ModelVariant.FAGM11K)
     scale = _column_scale(design)
     rows, m, cells = design.shape
     aug = np.empty((cells, rows, m + 1))
@@ -403,7 +368,7 @@ def _sweep_block(rs, alphas, draws, n: int) -> list[SweepCell]:
     singular = diag.min(axis=0) <= REL_RANK_TOL * diag.max(axis=0)
     base = np.array(_place(np.array(_back_substitute(R, m)) / scale, ModelVariant.FAGM11K))
     opt = _optimised_rows(*base)
-    x0 = raw[:, 0]  # the fitted models' x0
+    x0 = raw[0]  # the fitted models' x0
 
     # What fit and optimize_params raise for, or FittedModel rejects, fails a
     # cell, and so does a recovery error that is not finite.  The truth is
@@ -416,15 +381,17 @@ def _sweep_block(rs, alphas, draws, n: int) -> list[SweepCell]:
     # predict(model, 0) and evaluate(raw, ...).rmspe for the plain, then the
     # optimised, model of each cell: predict raises for a restored value
     # that is not finite, and evaluate for an observed value that gives no
-    # relative error.  Each row of these arrays is computed on its own, so
-    # the rows of cells failed above change nothing.
-    restored = _convolve_rows(
-        _responses(np.tile(x0, 2), np.hstack([base, opt]), n), np.vstack([inverse, inverse])
+    # relative error.  Each column of these arrays is computed on its own,
+    # so the columns of cells failed above change nothing.  _rms_pct sums
+    # the rows of a C-contiguous array as evaluate sums one series.
+    restored = _convolve(
+        _responses(np.tile(x0, 2), np.hstack([base, opt]), n), np.tile(inverse, 2)
     )
-    observed = np.tile(raw, (2, 1))
-    rmspe = np.reshape(_rms_pct((restored - observed) / observed), (2, -1))
-    ok &= np.isfinite(restored).all(axis=1).reshape(2, -1).all(axis=0)
-    ok &= ~_unscorable(raw).any(axis=1)
+    observed = np.tile(raw, 2)
+    rel = np.ascontiguousarray(((restored - observed) / observed).T)
+    rmspe = np.reshape(_rms_pct(rel), (2, -1))
+    ok &= np.isfinite(restored).all(axis=0).reshape(2, -1).all(axis=0)
+    ok &= ~_unscorable(raw).any(axis=0)
 
     # A failed cell's four values are the one math.nan object, so that equal
     # sweeps compare equal: tuples compare fields by identity first.

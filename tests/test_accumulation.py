@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greycast.accumulation import (
+    _convolve,
+    _weights,
     accumulate,
     ago_matrix,
     forward_coeffs,
@@ -192,3 +194,104 @@ class TestMatrices:
     def test_inverse_kernel_coeffs_match_matrix_row(self):
         m = iago_matrix(6, 0.77)
         np.testing.assert_array_equal(m[0], inverse_coeffs(0.77, 6))
+
+
+# --- one accumulation: a batch, a single series and the causal order ---
+
+SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 1e308, -1e308, 5e-324, -2.2e-310]
+
+
+def same_bits(got, want) -> np.ndarray:
+    """Elementwise: equal float64 bits, or both NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return (got.view(np.uint64) == want.view(np.uint64)) | (np.isnan(got) & np.isnan(want))
+
+
+def loop_convolve(x, w):
+    """out[k] = 0.0 + w[0] x[k] + ... + w[k] x[0], one Python float at a time."""
+    out = []
+    for k in range(len(x)):
+        total = 0.0
+        for j in range(k + 1):
+            total += w[j] * x[k - j]
+        out.append(total)
+    return np.array(out)
+
+
+def special_series(rng, n, count):
+    """(n, count) series of random sign over magnitudes 1e-5 to 1e5, about
+    one value in twenty replaced by a special value; column 0 is the
+    special values in turn and column 1 is all -0.0."""
+    x = rng.choice([-1.0, 1.0], (n, count)) * 10.0 ** rng.uniform(-5, 5, (n, count))
+    mask = rng.random(x.shape) < 0.05
+    x[mask] = rng.choice(SPECIAL, mask.sum())
+    x[:, 0], x[:, 1] = np.resize(SPECIAL, n), -0.0
+    return x
+
+
+# Lengths 1..48 run single series both as a (n, n) product and by the lag
+# loop (the weights of r = 1e6 overflow, which sends it to the loop).
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", range(1, 49))
+@pytest.mark.parametrize("coeffs", [forward_coeffs, inverse_coeffs])
+def test_a_batch_accumulates_as_each_series_alone(coeffs, n):
+    forward = coeffs is forward_coeffs
+    rng = np.random.default_rng(n)
+    rs = np.concatenate([rng.uniform(0.05, 2.0, 57), [1.0, 2.0, 1e6]])
+    w = _weights(rs, n, forward)
+    assert w.shape == (n, rs.size)
+    # one column per order, each the float order's weights bit for bit
+    for b, r in enumerate(rs.tolist()):
+        assert w[:, b].tobytes() == coeffs(r, n).tobytes() == _weights(r, n, forward).tobytes()
+    x = special_series(rng, n, rs.size)
+    apply = accumulate if forward else inverse_accumulate
+    batch = _convolve(x, w)  # each series with its own order
+    orders = _convolve(x[:, 2:3], w)  # one series at every order
+    alone = [apply(x[:, b], r) for b, r in enumerate(rs.tolist())]
+    spelled = [loop_convolve(x[:, 2].tolist(), w[:, b].tolist()) for b in range(rs.size)]
+    assert batch.shape == orders.shape == x.shape
+    assert same_bits(batch, np.transpose(alone)).all()
+    assert same_bits(orders, np.transpose(spelled)).all()
+    assert same_bits(orders[:, 2], batch[:, 2]).all()
+    assert _convolve(np.empty((n, 0)), np.empty((n, 0))).shape == (n, 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coeffs", [forward_coeffs, inverse_coeffs])
+def test_output_k_depends_only_on_lags_up_to_k(coeffs):
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 5, 8, 13, 30):
+        x = rng.uniform(0.5, 5.0, n)
+        for r in (0.37, 1.0, 1.6, 1e300):
+            w = coeffs(r, n)
+            base = _convolve(x, w)
+            for m in range(n):
+                for bad in (math.inf, -math.inf, math.nan):
+                    bad_x, bad_w, tail_w = x.copy(), w.copy(), w.copy()
+                    bad_x[m] = bad_w[m] = bad
+                    tail_w[m:] = bad  # as an overflowing recurrence leaves them
+                    outs = [_convolve(bad_x, w), _convolve(x, bad_w), _convolve(x, tail_w),
+                            _convolve(bad_x[:, None], w[:, None])[:, 0]]
+                    for out in outs:
+                        assert out[:m].tobytes() == base[:m].tobytes(), (n, r, m, bad)
+    # the weights of r = 1e300 overflow from lag 2 on, without a warning
+    x = [1.0, 2.0, 3.0, 4.0]
+    if coeffs is forward_coeffs:
+        assert repr(forward_coeffs(1e300, 4).tolist()) == "[1.0, 1e+300, inf, inf]"
+        assert repr(accumulate(x, 1e300).tolist()) == "[1.0, 1e+300, inf, inf]"
+    else:
+        assert repr(inverse_coeffs(1e300, 4).tolist()) == "[1.0, -1e+300, inf, -inf]"
+        assert repr(inverse_accumulate(x, 1e300).tolist()) == "[1.0, -1e+300, inf, nan]"
+
+
+@pytest.mark.parametrize(
+    "matrix, coeffs", [(ago_matrix, forward_coeffs), (iago_matrix, inverse_coeffs)]
+)
+def test_matrices_hold_the_weights_on_their_lags(matrix, coeffs):
+    for n in (1, 2, 7, 40):
+        w = coeffs(0.63, n)
+        m = matrix(n, 0.63)
+        assert m.flags.c_contiguous and m.flags.writeable
+        for i in range(n):
+            assert m[i, i:].tobytes() == w[: n - i].tobytes()
+            assert not m[i, :i].any()

@@ -301,8 +301,47 @@ class TestTimeResponse:
         with pytest.raises(ValueError):
             time_response(model, 0)
 
+    # a = 0 makes the response's b/a and b/a^2 terms infinite and their
+    # difference NaN from k = 2 on; fit's numpy floats would also warn
+    @pytest.mark.parametrize("dtype", [float, np.float64])
+    def test_zero_development_coefficient_raises_without_a_warning(self, dtype):
+        fitted = fit(load_bundled("nuclear").values, 1.1595, ModelVariant.FAGM11K, 10)
+        model = replace(fitted, base=replace(fitted.base, a=dtype(0.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert time_response(model, 1) == model.x0
+            for k in ([1, 2, 3, 4], 2, 2.0):
+                with pytest.raises(NonFiniteResult, match=r"^response at time index 2 is NaN$"):
+                    time_response(model, k)
+            with pytest.raises(NonFiniteResult, match=r"^response at time index 2 is NaN$"):
+                discretization_gap(model, 3)
+
+    def test_overflowing_response_is_named(self):
+        # x0 * 2**(k-1): finite up to k = 1024, where the gap's z overflows
+        model = replace(
+            fit(load_bundled("nuclear").values, 1.0, ModelVariant.FAGM11, 10),
+            base=BaseParams(-math.log(2), 0.0, 0.0), x0=1.9,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(time_response(model, 1024))
+            with pytest.raises(NonFiniteResult, match=r"^response at time index 1025 overflows$"):
+                time_response(model, np.arange(1, 2000))
+            with pytest.raises(NonFiniteResult, match=r"^gap at k=1024 overflows$"):
+                discretization_gap(model, 1024)
+
 
 class TestFit:
+    @pytest.mark.parametrize(
+        "variant", [ModelVariant.FAGMO11K, ModelVariant.FAGM11K, ModelVariant.FAGM11]
+    )
+    def test_overflowing_order_raises_without_a_warning(self, variant):
+        # the accumulation overflows from lag 2 on, so the design is inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult):
+                fit(load_bundled("nuclear").values, 1e300, variant, 10)
+
     def test_oilfield_reference_values(self):
         data = load_bundled("oilfield")
         model = fit(data.values, 0.4052, ModelVariant.FAGMO11K, 11, labels=data.labels)
@@ -446,9 +485,12 @@ class TestPredict:
             for model in (held, loaded):
                 with pytest.raises(NonFiniteResult):
                     predict(model, 2)
-        k = np.arange(1.0, 6.0)
-        with np.errstate(all="ignore"):
-            assert time_response(held, k).tobytes() == time_response(loaded, k).tobytes()
+            messages = []
+            for model in (held, loaded):
+                with pytest.raises(NonFiniteResult) as raised:
+                    time_response(model, np.arange(1.0, 6.0))
+                messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
     def test_nan_restored_value_is_named_as_nan(self):
         # a = 0 makes the response's b/a and b/a^2 terms infinite, and

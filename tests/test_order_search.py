@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from greycast import order_search
+from greycast.accumulation import _convolve, accumulate, inverse_accumulate
 from greycast.datasets import load_bundled
 from greycast.errors import (
     GreycastError,
@@ -19,7 +20,8 @@ from greycast.errors import (
 )
 from greycast.metrics import evaluate
 from greycast.models import (
-    A_FLOOR, ModelVariant, _column_scale, _place, _transform, build_design, fit, predict,
+    A_FLOOR, ModelVariant, _column_scale, _place, _response, _response_terms, _transform,
+    build_design, fit, predict,
 )
 from greycast.order_search import (
     REL_PIVOT_TOL, OrderSearchConfig, OrderSearchResult, search_order,
@@ -404,7 +406,8 @@ def test_roundoff_plateau_returns_a_tied_order():
     assert evaluate(values, predict(model, 0), 4).rmspe == got.objective_value
 
 
-# --- the kernel's pieces before they shared the order-independent work ---
+# --- the kernel's pieces before they shared the order-independent work and
+# the accumulation ---
 
 
 def reference_kernels(r, n, forward):
@@ -414,6 +417,16 @@ def reference_kernels(r, n, forward):
     factors[0] = 1.0
     factors[1:] = (r + i - 1) / i if forward else (i - 1 - r) / i
     return np.cumprod(factors, axis=0)
+
+
+def reference_convolve(kernel, x):
+    """Truncated convolution of each column of an (n, B) ``kernel`` with an
+    (n, 1) or (n, B) ``x``, by lag-wise shifted multiply-adds."""
+    n = kernel.shape[0]
+    out = np.zeros(kernel.shape)
+    for lag in range(n):
+        out[lag:] += kernel[lag] * x[: n - lag]
+    return out
 
 
 def reference_solve_batch(G, h, pivots=None):
@@ -449,7 +462,7 @@ def reference_solve_batch(G, h, pivots=None):
 
 def reference_fit_chunk(x, r, variant, nu):
     """Normal equations summed row by row over the full (rows, m, B) design."""
-    xr = order_search._convolve(reference_kernels(r, nu, forward=True), x[:nu, None])
+    xr = reference_convolve(reference_kernels(r, nu, forward=True), x[:nu, None])
     B, d = build_design(xr, variant)
     scale = _column_scale(B)
     B /= scale
@@ -465,13 +478,20 @@ def reference_fit_chunk(x, r, variant, nu):
     return p, q, g, failed
 
 
-def reference_score_grid(values, rs, variant, nu, objective):
+def reference_score_grid(x, rs, variant, nu, objective):
     """``_score_grid`` on the reference pieces, all orders in one chunk."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(order_search, "_kernels", reference_kernels)
-        mp.setattr(order_search, "_fit_chunk", reference_fit_chunk)
-        mp.setattr(order_search, "CHUNK_ELEMENTS", values.size * rs.size)
-        return order_search._score_grid(values, rs, variant, nu, objective)
+    n = x.size
+    with np.errstate(all="ignore"):
+        p, q, g, failed = reference_fit_chunk(x, rs, variant, nu)
+        kk = np.arange(1, n + 1, dtype=float)[:, None]
+        xr_hat = _response(x[0], p, _response_terms(x[0], p, q, g), kk)
+        restored = reference_convolve(reference_kernels(rs, n, forward=False), xr_hat)
+        rel = (restored - x[:, None]) / x[:, None]
+        if objective == "rmspepr":
+            rel = rel[:nu]
+        out = np.sqrt(order_search._sum0(rel**2) / rel.shape[0]) * 100.0
+    out[failed | ~np.isfinite(out)] = np.nan
+    return out
 
 
 # the default grid's span at step 0.01; it holds r = 1 exactly, which the
@@ -506,6 +526,29 @@ def test_kernel_matches_the_reference_pieces_bit_for_bit(name):
                 failed += np.isnan(want).sum()
     # both outcomes are compared: some orders fail and some fit
     assert 0 < failed < len(ModelVariant) * KERNEL_GRID.size * 2 * 2
+
+
+@pytest.mark.parametrize("name", list(BUNDLED_NU) + ["synthetic48", "ones6", "overflow"])
+def test_kernel_accumulates_each_order_as_accumulate(name, monkeypatch):
+    values, nu = _kernel_series(name)
+    rs = KERNEL_GRID[::7]
+    calls = []
+
+    def spy(x, w):
+        out = _convolve(x, w)
+        calls.append((x, out))
+        return out
+
+    monkeypatch.setattr(order_search, "_convolve", spy)
+    monkeypatch.setattr(order_search, "CHUNK_ELEMENTS", values.size * rs.size)
+    order_search._score_grid(values, rs, ModelVariant.FAGMO11K, nu, "rmspe")
+    (_, trained), (response, restored) = calls
+    assert trained.shape == (nu, rs.size) and restored.shape == (values.size, rs.size)
+    for b, r in enumerate(rs.tolist()):
+        assert trained[:, b].tobytes() == accumulate(values[:nu], r).tobytes(), r
+        got, want = restored[:, b], inverse_accumulate(response[:, b], r)
+        same = (got.view(np.uint64) == want.view(np.uint64)) | np.isnan(got) & np.isnan(want)
+        assert same.all(), r
 
 
 @pytest.mark.parametrize("orders", [1, 7])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from greycast import metrics, models, sweep
-from greycast.accumulation import accumulate, forward_coeffs, inverse_coeffs
+from greycast.accumulation import accumulate
 from greycast.errors import DevelopmentCoefficientOutOfRange, GreycastError, NonFiniteResult
 from greycast.metrics import evaluate
 from greycast.models import A_FLOOR, BaseParams, ModelVariant, fit, optimize_params, predict
@@ -449,8 +449,7 @@ def grid_config(r_steps, alpha_steps, seed, alpha_bounds, n_points=11):
 
 # |alpha| up to 40 pushes the plain fit's a to |a| >= 2 in some cells, so
 # the optimised transform fails there and the cell is fit_failed.  Explicit
-# ids keep each 11-point input's id stable as inputs are added.  At 12 and
-# 17 points every convolution output is a dot (see sweep._convolve_rows).
+# ids keep each 11-point input's id stable as inputs are added.
 @pytest.mark.parametrize(
     "alpha_bounds, n_points",
     [((-1.99, 1.99), 11), ((-40.0, 40.0), 11), ((-1.99, 1.99), 6), ((-40.0, 40.0), 6),
@@ -467,27 +466,6 @@ def test_one_fit_cells_equal_the_two_fit_cells(seed, alpha_bounds, n_points):
     assert repr(got) == repr(want)  # bitwise, NaN fields included
     if alpha_bounds[1] > 2:
         assert any(c.status == "fit_failed" for c in got)
-
-
-# Lengths 2..40 cross numpy's 11-tap small_correlate limit and OpenBLAS
-# ddot's 16-element block.
-@pytest.mark.parametrize("n", range(2, 41))
-@pytest.mark.parametrize("kernel", [forward_coeffs, inverse_coeffs])
-def test_convolve_rows_equals_np_convolve(kernel, n):
-    rng = np.random.default_rng(n)
-    # each row with a kernel of its own order
-    kernels = np.array([kernel(r, n) for r in rng.uniform(0.05, 2.0, 60)])
-    rows = random_params(rng, 20 * n).reshape(60, n)
-    special = [math.inf, -math.inf, math.nan, -0.0, 1e308, -1e308, 5e-324, -2.2e-310]
-    mask = rng.random(rows.shape) < 0.05
-    rows[mask] = rng.choice(special, mask.sum())
-    rows[0], rows[1] = np.resize(special, n), -0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = sweep._convolve_rows(rows, kernels)
-        want = [np.convolve(row, coeffs)[:n] for row, coeffs in zip(rows, kernels)]
-    assert got.shape == rows.shape
-    assert same_bits(got, want).all()
-    assert sweep._convolve_rows(np.empty((0, n)), np.empty((0, n))).shape == (0, n)
 
 
 def single_cell(r, alpha, seed):
