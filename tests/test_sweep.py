@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from greycast import metrics, models, sweep
-from greycast.accumulation import accumulate
+from greycast.accumulation import _convolve, _weights, accumulate, forward_coeffs, inverse_coeffs
 from greycast.errors import DevelopmentCoefficientOutOfRange, GreycastError, NonFiniteResult
 from greycast.metrics import evaluate
 from greycast.models import A_FLOOR, BaseParams, ModelVariant, fit, optimize_params, predict
@@ -159,7 +159,7 @@ def test_optimised_rows_equal_optimize_params():
 
 
 def small_config(**kwargs):
-    # 6 alpha steps avoid the exact-zero grid point, so nothing is filtered
+    # 6 alpha steps avoid the bounded-zero grid point, so nothing is filtered
     return SweepConfig.regular(r_steps=6, alpha_steps=6, n_points=11, seed=7, **kwargs)
 
 
@@ -466,6 +466,53 @@ def test_one_fit_cells_equal_the_two_fit_cells(seed, alpha_bounds, n_points):
     assert repr(got) == repr(want)  # bitwise, NaN fields included
     if alpha_bounds[1] > 2:
         assert any(c.status == "fit_failed" for c in got)
+
+
+# Lengths 2..40.  The sweep sums each cell's lags left to right, where
+# np.convolve sums them in numpy's and BLAS's inner loops: the two agree up
+# to the rounding of a sum of k + 1 products, and on every special value
+# that does not depend on the order of the sum.
+@pytest.mark.parametrize("n", range(2, 41))
+@pytest.mark.parametrize("kernel", [forward_coeffs, inverse_coeffs])
+def test_convolve_rows_equals_np_convolve(kernel, n):
+    rng = np.random.default_rng(n)
+    # each row with a kernel of its own order, one column per row as the sweep builds them
+    rs = rng.uniform(0.05, 2.0, 60)
+    kernels = _weights(rs, n, kernel is forward_coeffs)
+    rows = random_params(rng, 20 * n).reshape(60, n)
+    special = [math.inf, -math.inf, math.nan, -0.0, 1e308, -1e308, 5e-324, -2.2e-310]
+    mask = rng.random(rows.shape) < 0.05
+    rows[mask] = rng.choice(special, mask.sum())
+    rows[0], rows[1] = np.resize(special, n), -0.0
+    lag = np.arange(n)[:, None] - np.arange(n)  # k - j
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _convolve(rows.T, kernels).T
+        alone = [_convolve(row, kernels[:, c]) for c, row in enumerate(rows)]
+        want = np.array([np.convolve(row, kernel(r, n))[:n] for row, r in zip(rows, rs.tolist())])
+        # terms[c, k, j] = w[j] x[k - j], the products that output k of row c sums
+        w, x = kernels.T[:, None, :], np.where(lag >= 0, rows[:, np.maximum(lag, 0)], 0.0)
+        terms, finite = w * x, np.isfinite(w) & np.isfinite(x)
+        size = np.where(finite, np.abs(w) * np.abs(x), 0.0).sum(axis=2)
+    assert got.shape == rows.shape
+    assert same_bits(got, alone).all()
+    # Where a product of finite factors or a sum of them could overflow, the
+    # order of the sum and a fused multiply-add decide between inf and a
+    # finite value, or +-inf and NaN; elsewhere they do not.
+    clear = size < 1e300
+    assert clear.mean() > 0.5
+    pos, neg = (terms == math.inf).any(axis=2), (terms == -math.inf).any(axis=2)
+    nan = np.isnan(terms).any(axis=2) | (pos & neg)
+    special_out = np.where(nan, math.nan, np.where(pos, math.inf, -math.inf))
+    bounded = clear & finite.all(axis=2)
+    assert (clear & ~bounded).any()
+    for out in (got, want):
+        assert same_bits(out[clear & ~bounded], special_out[clear & ~bounded]).all()
+        assert np.isfinite(out[bounded]).all()
+    # two sums of the same k + 1 <= n products, each within (n - 1) half
+    # ulps of their absolute sum, plus a subnormal ulp a product where BLAS fuses
+    bound = 2 * n * np.finfo(float).eps * size + n * 5e-324
+    assert (np.abs(got[bounded] - want[bounded]) <= bound[bounded]).all()
+    assert _convolve(np.empty((n, 0)), np.empty((n, 0))).shape == (n, 0)
 
 
 def single_cell(r, alpha, seed):
