@@ -36,8 +36,16 @@ def _whole(value) -> int:
 
 
 def _labels(labels, n_total: int) -> tuple[int, ...]:
-    """One whole-number label per value, strictly increasing."""
-    out = tuple(_whole(v) for v in labels)
+    """One whole-number label per value, strictly increasing.  All labels
+    are checked at once; only a bad one sends them through :func:`_whole`
+    one by one, which names the first."""
+    labels = tuple(labels)
+    try:
+        out = tuple(map(int, labels))
+    except (OverflowError, ValueError, TypeError):
+        out = None
+    if out != labels or bool in set(map(type, labels)):
+        out = tuple(map(_whole, labels))
     if len(out) != n_total:
         raise ValueError(f"got {len(out)} labels for {n_total} values")
     if not all(map(operator.lt, out, out[1:])):

@@ -95,13 +95,15 @@ def evaluate(observed, predicted, nu: int) -> EvaluationReport:
     rmspepr = _rms_pct(rel[:nu])
     rmspepo = _rms_pct(rel[nu:]) if n > nu else None
     rmspe = _rms_pct(rel)
-    xbar = float(np.mean(observed))
+    # sums and means spelled as np.sum and np.mean compute them, as in _rms_pct
+    gap = predicted - observed
+    xbar = float(np.add.reduce(observed) / n)
     spread = np.abs(predicted - xbar) + np.abs(observed - xbar)
-    sse = np.sum((predicted - observed) ** 2)
+    sse = np.add.reduce(gap**2)
     # the spread sums to 0 only where predicted == observed == their mean
-    ia = 1.0 if sse == 0 else float(1.0 - sse / np.sum(spread**2))
-    ae = float(np.mean(predicted - observed))
-    mae = float(np.mean(np.abs(predicted - observed)))
+    ia = 1.0 if sse == 0 else float(1.0 - sse / np.add.reduce(spread**2))
+    ae = float(np.add.reduce(gap) / n)
+    mae = float(np.add.reduce(np.abs(gap)) / n)
     return EvaluationReport(
         rmspepr=rmspepr,
         rmspepo=rmspepo,

@@ -17,6 +17,7 @@ equation exactly instead of up to a trapezoid-rule error; see
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -313,6 +314,10 @@ def solve_least_squares(B, Y) -> np.ndarray:
     intercept column).  The R factor of the augmented matrix holds Q^T Y
     in its last column, so phi comes from R alone, and the design's
     condition number is not squared as the normal equations square it.
+    The columns before the last are factored once per content (see
+    :func:`_householder`): :func:`fit` puts -z, the only column that depends
+    on the series, last, and so does a batch of systems
+    (:func:`_fit_batch`), which gives each system the bits it gets here.
     Raises SingularDesign when some |R_kk| is at most REL_RANK_TOL times
     the largest; a NaN spreads to every unknown.
     """
@@ -324,10 +329,8 @@ def solve_least_squares(B, Y) -> np.ndarray:
     if rows < m:
         raise ValueError(f"underdetermined system: {rows} rows for {m} columns")
     scale = _column_scale(B)
-    aug = np.empty((rows, m + 1))
-    np.divide(B, scale, out=aug[:, :m])
-    aug[:, m] = Y
-    R = _householder_r(aug)
+    *leading, last = (B / scale).T
+    R = _householder(np.array(leading).tolist(), last, Y)
     diag = [abs(R[k][k]) for k in range(m)]
     if math.isnan(sum(diag)):
         return np.full(m, math.nan)
@@ -339,37 +342,155 @@ def solve_least_squares(B, Y) -> np.ndarray:
     return np.array(_back_substitute(R, m)) / scale
 
 
-def _householder_r(aug):
-    """Rows k < m of the R factor of a (rows, m+1) matrix as nested lists,
-    ``R[k][j]`` a float, or of each matrix of an (A, rows, m+1) stack,
-    ``R[k][j]`` an (A,) array: one LAPACK call, which gives a matrix in a
-    stack the same bits as alone.  Only entries with j >= k are R's; the
-    rest are Householder vectors, which nothing reads.  ``mode="raw"``
-    skips the copy that zeroes them, a large share of the call's cost on
-    one small matrix.
+def _householder(leading, column, response) -> list:
+    """R of the Householder QR of the columns ``leading + [column, response]``,
+    as its columns: ``R[j][k]`` is R_kj for k <= j, and the response's
+    entries are those of Q^T times it.
+
+    ``leading`` are lists of floats, shared by every system of a batch, so
+    their part of the QR is computed once per content (:func:`_leading_qr`);
+    ``column`` and ``response`` are (rows,) arrays, one system, or (rows, B)
+    arrays, a batch.  The QR is left-looking: each column takes every
+    earlier column's reflector in turn.  Each step rounds a system's entries
+    alike alone and in a batch, and sums run row by row, first row first,
+    so a system gets the same bits either way.
     """
-    m = aug.shape[-1] - 1
-    h = np.linalg.qr(aug, mode="raw")[0][..., :m]  # R transposed, LAPACK's layout
-    return h.T.tolist() if h.ndim == 2 else h.transpose(2, 1, 0)
+    reflectors, R = _leading_qr(tuple(map(tuple, leading)))
+    batch = column.ndim == 2  # a batch multiplies by each shared v as a (rows, 1) column
+    reflectors = [(v[:, None] if batch else v, tau) for v, tau in reflectors]
+    R = [*R, _factor(reflectors, column)]
+    (v, tau), (top, y) = reflectors[-1], _reflect_all(reflectors[:-1], response)
+    return R + [top + [y[0] + -tau * _dot(v, y)]]  # the first entry of H y, as v[0] = 1
+
+
+@functools.lru_cache(maxsize=64)
+def _leading_qr(columns):
+    """The reflectors, as (v, tau) pairs, and the R columns of the float
+    ``columns``, kept for later systems."""
+    reflectors = []
+    R = [_factor(reflectors, np.array(x)) for x in columns]
+    return tuple(reflectors), tuple(R)
+
+
+def _factor(reflectors, x) -> list:
+    """Column ``x``'s entries of R, after the reflectors so far, whose list
+    then takes the column's own."""
+    top, x = _reflect_all(reflectors, x)
+    beta, v, tau = _reflector(x)
+    reflectors.append((v, tau))
+    return top + [beta]
+
+
+def _reflect_all(reflectors, x):
+    """The entries of column ``x`` that each reflector in turn fixes, and
+    what is left of the column below them."""
+    top = []
+    for v, tau in reflectors:
+        x = _reflect(v, tau, x)
+        top.append(x[0])
+        x = x[1:]
+    return top, x
+
+
+def _reflector(x):
+    """(beta, v, tau) of the Householder reflector H = I - tau v v^T that maps
+    the column ``x`` to beta e_1, in LAPACK's form: |beta| = ||x||, with the
+    sign that keeps the pivot x[0] - beta free of cancellation, v[0] = 1 and
+    every |v[i]| <= 1.  An all-zero column gets pivot 1 and tau = -0.0, the
+    identity.  math.sqrt, np.sqrt and copysign are correctly rounded or
+    exact, so one system and a batch agree."""
+    s = _dot(x, x)
+    if x.ndim == 2:
+        beta = -np.copysign(np.sqrt(s), x[0])
+        pivot = np.where(x[0] == beta, 1.0, x[0] - beta)
+        tau = -pivot / np.where(beta == 0, math.inf, beta)
+    else:
+        beta = -math.copysign(math.sqrt(s), x[0])
+        pivot = x[0] - beta or 1.0
+        tau = -pivot / (beta or math.inf)
+    v = x / pivot
+    v[0] = 1.0
+    return beta, v, tau
+
+
+def _reflect(v, tau, x):
+    """H x for the reflector (v, tau) of :func:`_reflector`: x + v f with
+    f = -tau (v^T x), as LAPACK's dlarf applies it."""
+    out = v * (-tau * _dot(v, x))
+    out += x
+    return out
+
+
+def _dot(v, x):
+    """v^T x summed row by row, first row first.  ``np.add.reduce`` over
+    axis 0 adds whole rows in turn while a row holds more than one element
+    (as :func:`~greycast.accumulation._convolve` relies on too); rows of
+    one it sums pairwise, and ``np.add.accumulate`` then keeps the order."""
+    terms = v * x
+    if terms[0].size > 1:
+        return np.add.reduce(terms, axis=0)
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def _back_substitute(R, m: int) -> list:
-    """phi with R[:m, :m] phi = R[:m, m], for R from :func:`_householder_r`
-    of a scaled ``[B | Y]`` with m design columns; floats and arrays round
-    alike.  m comes from the design, because R has only m rows when B is
-    square."""
+    """phi with R[:m, :m] phi = R[:m, m], for the columns R of
+    :func:`_householder` with m design columns; one system and a batch
+    round alike."""
     phi = [0.0] * m
     for k in range(m - 1, -1, -1):
-        acc = R[k][m]
+        acc = R[m][k]
         for j in range(k + 1, m):
-            acc = acc - R[k][j] * phi[j]
+            acc = acc - R[j][k] * phi[j]
         phi[k] = acc / R[k][k]
     return phi
 
 
+def _fit_batch(series_r, variant: ModelVariant):
+    """:func:`fit` of each column of an (nu, B) batch of accumulated series,
+    bit for bit: its (a, b, c), its (alpha, beta, gamma) when the variant is
+    optimised (else None), and a mask of the columns for which ``fit`` would
+    raise, leaving out x0 and the variant's order rule (the caller knows
+    the raw series and r).
+
+    It runs :func:`solve_least_squares`'s steps, design, scale, QR, rank
+    test and back-substitution, on arrays over the batch, then places
+    (a, b, c) and transforms them; the order-independent columns, their
+    scales and their reflectors are the same for every column, so they are
+    computed once, on floats.
+    """
+    (z, *leading), response = _design_columns(series_r, variant)
+    scales = [float(_column_scale(col)[0]) for col in leading] + [_column_scale(z)]
+    leading = [(col[:, 0] / scale).tolist() for col, scale in zip(leading, scales)]
+    R = _householder(leading, z / scales[-1], response)
+    m = len(R) - 1
+    diag = [np.abs(R[k][k]) for k in range(m)]  # solve_least_squares's rank test; NaN fails
+    low, high = functools.reduce(np.minimum, diag), functools.reduce(np.maximum, diag)
+    failed = ~(low > REL_RANK_TOL * high)
+    *rest, a = [x / scale for x, scale in zip(_back_substitute(R, m), scales)]
+    base = _place([a, *rest], variant)
+    failed |= ~_finite(base)
+    if not variant.optimized:
+        return base, None, failed
+    opt = _optimised_rows(*base)
+    return base, opt, failed | ~_finite(opt)
+
+
+def _optimised_rows(a, b, c) -> np.ndarray:
+    """(3, B) array of the (alpha, beta, gamma) that :func:`optimize_params`
+    gives for each column's (a, b, c), NaN where it raises: there an a
+    outside A_FLOOR <= |a| < 2 becomes NaN."""
+    a = np.where((A_FLOOR <= np.abs(a)) & (np.abs(a) < 2), a, math.nan)
+    return np.array(_transform(a, b, c))
+
+
+def _finite(params):
+    """Where every one of a batch's parameter arrays (or pinned floats) is finite."""
+    return np.isfinite(np.broadcast_arrays(*params)).all(axis=0)
+
+
 def _column_scale(B) -> np.ndarray:
     """Max |entry| of each column of a (rows, m) design, or of each system's
-    columns in a (rows, m, B) batch; a zero column gets scale 1."""
+    column in a (rows, B) batch; a zero column gets scale 1."""
     scale = np.abs(B).max(axis=0)
     scale[scale == 0] = 1.0  # so a zero column stays zero and trips the rank test
     return scale
@@ -385,10 +506,13 @@ def optimize_params(base: BaseParams) -> OptParams:
     These are exactly the parameter values that make the continuous
     response satisfy the discrete basic equation, so the identities
     (1 + a/2) - (1 - a/2) e^alpha = 0 and (beta/alpha) a = b hold to
-    roundoff on the output.  Raises ZeroDevelopmentCoefficient when
-    |a| < A_FLOOR and DevelopmentCoefficientOutOfRange when |a| >= 2.
+    roundoff on the output.  Raises NonFiniteResult when a is not finite,
+    ZeroDevelopmentCoefficient when |a| < A_FLOOR and
+    DevelopmentCoefficientOutOfRange when |a| >= 2.
     """
     a, b, c = base.a, base.b, base.c
+    if not math.isfinite(a):
+        raise NonFiniteResult(f"development coefficient a={a!r} is not finite")
     if abs(a) < A_FLOOR:
         raise ZeroDevelopmentCoefficient(
             f"development coefficient a={a!r} is 0 to roundoff (|a| < {A_FLOOR:g})"
@@ -397,13 +521,14 @@ def optimize_params(base: BaseParams) -> OptParams:
         raise DevelopmentCoefficientOutOfRange(
             f"|a| must be < 2 for the optimised transform, got a={a!r}"
         )
-    return OptParams(*_transform(a, b, c, math.log))
+    return OptParams(*_transform(a, b, c))
 
 
-def _transform(a, b, c, log):
-    """The (alpha, beta, gamma) formulas, on floats with ``math.log`` or on
-    arrays with ``np.log``; the caller checks A_FLOOR <= |a| < 2."""
-    alpha = log((2 + a) / (2 - a))
+def _transform(a, b, c):
+    """The (alpha, beta, gamma) formulas, on floats or on arrays; the caller
+    checks A_FLOOR <= |a| < 2.  ``np.log`` gives a float the bits it gives
+    the same value in an array, which ``math.log`` does not always match."""
+    alpha = np.log((2 + a) / (2 - a))
     beta = b / a * alpha
     gamma = alpha * c / a - alpha * b / (2 * a) + beta / alpha + beta / 2 - beta / a
     return alpha, beta, gamma
@@ -517,8 +642,10 @@ def fit(
     r = float(r)
     labels = tuple(range(1, n_total + 1)) if labels is None else _labels(labels, n_total)
 
-    B, Y = build_design(accumulate(values[:nu], r), variant)
-    base = BaseParams(*_place(solve_least_squares(B, Y), variant))
+    # the design with -z last, as _fit_batch factors it
+    (z, *leading), Y = _design_columns(accumulate(values[:nu], r), variant)
+    *rest, a = solve_least_squares(np.column_stack([*leading, z]), Y).tolist()
+    base = BaseParams(*_place([a, *rest], variant))
     opt = optimize_params(base) if variant.optimized else None
     return FittedModel(
         variant=variant,

@@ -12,42 +12,21 @@ nu).  That matches how the published reference orders were evidently
 chosen; pass ``objective="rmspepr"`` to restrict scoring to the
 training window instead.
 
-The scan runs in two stages.  A numpy kernel first scores every grid
-order at once, in chunks along a batch axis, with the failure rules of
+A numpy kernel scores every grid order at once, in chunks along a batch
+axis, and gives each order exactly the objective that
 :func:`~greycast.models.fit`, :func:`~greycast.models.predict` and
-:func:`~greycast.metrics.evaluate` (for a singular design, a pivot rule
-on the normal equations in place of fit's rank test on R).  It calls the
-model's own code for the accumulation and restoration (one column per
-order, each with ``accumulate``'s bits), the design's columns
-(``_design_columns``, which ``build_design`` assembles, takes the batch),
-the column scaling, the placement of (a, b, c), the optimised transform
-and the response.  Only design column 0, -z, depends on the order: the
-(2k - 1)/2 and intercept columns, their scales and their block G[1:, 1:]
-of the normal matrix are the same for every order in a chunk, so the
-kernel computes them once per chunk and shares them.
-
-Only the least-squares solve is the kernel's own: the normal equations,
-summed row by row, and a pivoted elimination on them (``_solve_batch``).
-``fit`` solves by a Householder QR instead, which does not square the
-design's condition number, but one stacked QR of the default grid's
-19,901 systems of size 10x4 takes 16-27 ms, against 20-35 ms for the
-whole kernel on the 14-point oilfield series, timed side by side (2-vCPU
-x86-64, numpy 2.4 on OpenBLAS; the host's speed drifted between runs).
-The kernel only ranks candidates; the rescoring below decides the result.
-
-The kernel uses elementwise operations only and sums in index order, so
-an order's score depends on that order alone, never on the chunk it
-falls in or on the grid around it.  Its solve differs from the scalar
-pipeline's, so the two agree only to roundoff, which the response's b/a
-and c/a terms amplify where a nears 0.  The
-:data:`RESCORE` best kernel candidates are then scored again through
-``fit``/``predict``/``evaluate``; those values replace the kernel's in
-the profile, and the smallest of them is the result, ties going to the
-smaller order.  The returned objective is therefore always exactly what
-the public functions give at the returned order.  On a plateau where
-every order ties at roundoff (a flat series under ``fagmo``, say), which
-order wins is decided by roundoff and may differ from a
-candidate-by-candidate scalar scan.
+:func:`~greycast.metrics.evaluate` give it, failures included.  It runs
+their own code on one column per order: the accumulation and
+restoration, the batched fit (:func:`~greycast.models._fit_batch`, the
+least-squares solve of ``solve_least_squares`` with the transform of
+``optimize_params``) and the response, and it sums the RMSPE with
+``evaluate``'s ``_rms_pct``.  Only design column -z depends on the order,
+so the (2k - 1)/2 and intercept columns, their scales and their
+Householder reflectors are computed once and shared.  An order's score
+depends on that order alone, never on the chunk it falls in or on the
+grid around it.  The result is the smallest score, ties going to the
+smaller order, as a candidate-by-candidate scalar scan picks it.  A
+grid of at most :data:`SCALAR_GRID` orders goes through that scan itself.
 """
 
 from __future__ import annotations
@@ -59,23 +38,20 @@ import numpy as np
 
 from .accumulation import _convolve, _weights
 from .errors import GreycastError, NoFeasibleOrder
-from .metrics import _check_pair, evaluate
+from .metrics import _check_pair, _rms_pct, evaluate
 from .models import (
-    A_FLOOR, ModelVariant, _column_scale, _design_columns, _place, _response,
-    _response_terms, _training_window, _transform, fit, predict,
+    ModelVariant, _fit_batch, _response, _response_terms, _training_window, fit, predict,
 )
 
 __all__ = ["OrderSearchConfig", "OrderSearchResult", "search_order"]
 
 OBJECTIVES = ("rmspe", "rmspepr")
 
-#: Relative pivot threshold below which the kernel's normal equations are
-#: treated as singular.
-REL_PIVOT_TOL = 1e-12
-
-#: Number of best kernel candidates scored again through the scalar
-#: pipeline; the result is the best of them.
-RESCORE = 32
+#: Grids of at most this many orders are scored candidate by candidate
+#: through fit/predict/evaluate, whose bits the kernel gives too, so that a
+#: tracer of the public functions (perfbench's) sees every order's calls.
+#: The kernel is faster from 2 orders on; such a grid costs about 1 ms.
+SCALAR_GRID = 8
 
 #: Elements per (series length x orders) working array of the kernel.
 #: Bounds how many orders one chunk scores, and with it the kernel's memory.
@@ -138,106 +114,23 @@ def _grid(cfg: OrderSearchConfig) -> np.ndarray:
     return cfg.r_min + np.arange(_grid_size(cfg)) * cfg.step
 
 
-def _sum0(arrays) -> np.ndarray:
-    """Sum of equal-shaped arrays (the rows of an array, say) in the order given.
-
-    Spelled out so that each output element is always added up the same
-    way, whatever the shape or memory layout of the batch it sits in;
-    numpy's own reductions may regroup terms (pairwise summation).
-    """
-    arrays = iter(arrays)
-    out = next(arrays).copy()
-    for a in arrays:
-        out += a
-    return out
-
-
-def _solve_batch(G: np.ndarray, h: np.ndarray):
-    """Gaussian elimination with partial pivoting on a batch of normal
-    equations: G is (m, m, B), h is (m, B).
-
-    Returns the solutions (m, B) and a mask of the columns whose system
-    is singular, where a pivot falls below REL_PIVOT_TOL times the largest
-    entry of G; those hold garbage.
-    """
-    m = G.shape[0]
-    scale = np.abs(G).max(axis=(0, 1))  # exact: max does not round
-    failed = scale == 0.0
-    for col in range(m):
-        size = np.abs(G[col:, col])
-        p = np.argmax(size, axis=0)
-        failed |= size.max(axis=0) < REL_PIVOT_TOL * scale  # the size at p
-        # Swap rows col and col + p from column col on (the columns left of
-        # it are read no more); row col swaps with at most one row below.
-        g_col, h_col = G[col, col:].copy(), h[col].copy()
-        for row in range(col + 1, m):
-            swap = p == row - col
-            G[col, col:] = np.where(swap, G[row, col:], G[col, col:])
-            G[row, col:] = np.where(swap, g_col, G[row, col:])
-            h[col] = np.where(swap, h[row], h[col])
-            h[row] = np.where(swap, h_col, h[row])
-        for row in range(col + 1, m):
-            f = G[row, col] / G[col, col]
-            G[row, col:] -= f * G[col, col:]
-            h[row] -= f * h[col]
-    out = np.empty(h.shape)
-    for row in range(m - 1, -1, -1):
-        acc = np.zeros(h.shape[1])
-        for j in range(row + 1, m):
-            acc += G[row, j] * out[j]
-        out[row] = (h[row] - acc) / G[row, row]
-    return out, failed
-
-
-def _fit_chunk(x, r, variant: ModelVariant, nu: int):
-    """Batched ``fit``: active parameters (p, q, g) of every order in ``r``
-    (B,) and a mask of the orders whose fit fails."""
-    xr = _convolve(x[:nu, None], _weights(r, nu, forward=True))
-    (z, *const), d = _design_columns(xr, variant)
-    const = np.concatenate(const, axis=1)
-    z_scale, const_scale = _column_scale(z), _column_scale(const)
-    z /= z_scale
-    const /= const_scale
-    # The normal equations G phi = h, summed row by row.  Only column 0
-    # (-z) depends on the order: one pass sums the products that hold it
-    # or d, G[1:, 1:] is summed once and shared, and G[j, 0] = G[0, j]
-    # exactly, as x * y == y * x.
-    m = 1 + const.shape[1]
-    rows = np.empty((d.shape[0], 2 * m, r.size))  # z*z, z*const, z*d, d*const
-    np.multiply(z, z, out=rows[:, 0])
-    np.multiply(const[:, :, None], z[:, None], out=rows[:, 1:m])
-    np.multiply(z, d, out=rows[:, m])
-    np.multiply(const[:, :, None], d[:, None], out=rows[:, m + 1 :])
-    sums = _sum0(rows)
-    G = np.empty((m, m, r.size))
-    G[0] = sums[:m]
-    G[1:, 0] = sums[1:m]
-    G[1:, 1:] = _sum0(row[:, None] * row[None, :] for row in const)[:, :, None]
-    phi, failed = _solve_batch(G, sums[m:])
-    phi[0] /= z_scale
-    phi[1:] /= const_scale[:, None]
-    p, q, g = _place(phi, variant)
-    if variant.optimized:
-        failed |= (np.abs(p) < A_FLOOR) | (np.abs(p) >= 2)
-        p, q, g = _transform(p, q, g, np.log)
-    if variant.order_locked:
-        failed |= r != 1.0
-    return p, q, g, failed
-
-
 def _score_chunk(x, r, variant: ModelVariant, nu: int, objective: str) -> np.ndarray:
     """Objective of every order in ``r`` (B,) on series ``x``; NaN where the fit fails."""
     n = x.size
-    p, q, g, failed = _fit_chunk(x, r, variant, nu)
+    base, opt, failed = _fit_batch(_convolve(x[:nu, None], _weights(r, nu, forward=True)), variant)
+    p, q, g = base if opt is None else opt
+    if variant.order_locked:
+        failed |= r != 1.0
     # time_response -> predict
     kk = np.arange(1, n + 1, dtype=float)[:, None]
     xr_hat = _response(x[0], p, _response_terms(x[0], p, q, g), kk)
     restored = _convolve(xr_hat, _weights(r, n, forward=False))
-    # evaluate
-    rel = (restored - x[:, None]) / x[:, None]
-    if objective == "rmspepr":
-        rel = rel[:nu]
-    out = np.sqrt(_sum0(rel**2) / rel.shape[0]) * 100.0
+    # evaluate, on C-contiguous rows, which _rms_pct sums as one series;
+    # predict fails a non-finite value also where the objective does not look
+    scored = nu if objective == "rmspepr" else n
+    failed |= ~np.isfinite(restored[scored:]).all(axis=0)
+    rel = (restored[:scored] - x[:scored, None]) / x[:scored, None]
+    out = np.array(_rms_pct(np.ascontiguousarray(rel.T)))
     out[failed | ~np.isfinite(out)] = np.nan
     return out
 
@@ -279,20 +172,13 @@ def search_order(values, config: OrderSearchConfig | None = None, profile_path=N
     _check_pair(values, values)  # a 0, NaN or inf makes evaluate reject every order
 
     rs = _grid(cfg)
-    scores = _score_grid(values, rs, cfg.variant, nu, cfg.objective)
-    ok = np.flatnonzero(~np.isnan(scores))
-    ranked = ok[np.argsort(scores[ok], kind="stable")]
-
-    best = None
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for done, i in enumerate(ranked.tolist()):
-            if done >= RESCORE and best is not None:
-                break
-            scores[i] = _scalar_objective(values, float(rs[i]), cfg, nu)
-            if not math.isnan(scores[i]) and (
-                best is None or (scores[i], i) < (scores[best], best)
-            ):
-                best = i
+    if rs.size <= SCALAR_GRID:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            scores = np.array([_scalar_objective(values, r, cfg, nu) for r in rs.tolist()])
+    else:
+        scores = _score_grid(values, rs, cfg.variant, nu, cfg.objective)
+    ok = ~np.isnan(scores)
+    best = int(np.nanargmin(scores)) if ok.any() else None  # the first of equal minima
 
     if profile_path is not None:
         with open(profile_path, "w", encoding="utf-8", newline="") as fh:
@@ -309,5 +195,5 @@ def search_order(values, config: OrderSearchConfig | None = None, profile_path=N
         objective_value=float(scores[best]),
         objective=cfg.objective,
         n_candidates=int(rs.size),
-        n_failed=int(np.isnan(scores).sum()),
+        n_failed=int(rs.size - ok.sum()),
     )

@@ -14,17 +14,14 @@ in a batched form that gives the same bits as the scalar call: the
 accumulation weights are built once per r and repeated over its row, and
 each (inverse) accumulation is one call of the shared convolution on the
 block's series, one per column (it adds a batch as it adds one series);
-the response, the design, its column scaling and the RMSPE are array
-expressions; the least-squares solve is one stacked LAPACK QR of the
-block's scaled ``[B | Y]`` matrices, followed by the back-substitution of
-:func:`~greycast.models.solve_least_squares` on arrays over the block's
-cells; the transform to (alpha, beta, gamma) is
-:func:`~greycast.models._transform` on arrays with ``math.log`` mapped
-over them (``np.log`` may differ from it in the last bit); and the
-recovery errors square each gap with a float power (``x * x`` may differ
-from ``x ** 2``).  What ``fit`` and ``optimize_params`` raise for becomes
-a mask over the block.  The plain and optimised variants solve the same
-design, so the least-squares solve runs once per cell, and the optimised
+the response and the RMSPE are array expressions; the least-squares fit
+is :func:`~greycast.models._fit_batch` of the block's accumulated series,
+the Householder QR of ``solve_least_squares`` on arrays over the block's
+cells with the transform of ``optimize_params``; and the recovery errors
+square each gap with a float power (``x * x`` may differ from ``x **
+2``).  What ``fit`` and ``optimize_params`` raise for becomes a mask
+over the block.  The plain and optimised variants solve the same design,
+so the least-squares solve runs once per cell, and the optimised
 parameters come from the plain model's (a, b, c), exactly as
 :func:`~greycast.models.fit` computes them for the optimised variant.
 The CSV bytes are therefore those of a cell built with
@@ -60,10 +57,7 @@ from .errors import NonFiniteResult
 from .metrics import _rms_pct, _unscorable
 # fit is not called here, but perfbench's tracer test looks it up as
 # greycast.sweep.fit.
-from .models import (
-    A_FLOOR, REL_RANK_TOL, ModelVariant, _back_substitute, _column_scale, _householder_r,
-    _place, _response, _response_terms, _transform, build_design, fit,
-)
+from .models import ModelVariant, _fit_batch, _response, _response_terms, fit
 
 __all__ = [
     "SweepConfig",
@@ -324,20 +318,6 @@ def _responses(x0, params, n: int) -> np.ndarray:
     return _response(x0, p, _response_terms(x0, p, q, g), k)
 
 
-def _log(x: np.ndarray) -> np.ndarray:
-    """``math.log`` of each element; ``np.log`` may differ in the last bit."""
-    return np.array(list(map(math.log, x.tolist())))
-
-
-def _optimised_rows(a, b, c) -> np.ndarray:
-    """(3, cells) array of the (alpha, beta, gamma) that ``optimize_params``
-    gives for each cell's (a, b, c), NaN where it raises: an a outside
-    A_FLOOR <= |a| < 2 becomes NaN, which also keeps ``math.log`` from
-    ratios <= 0.  A NaN a, which it passes, gives NaN here too."""
-    a = np.where((A_FLOOR <= np.abs(a)) & (np.abs(a) < 2), a, math.nan)
-    return np.array(_transform(a, b, c, _log))
-
-
 def _eps_rows(estimated, truth) -> np.ndarray:
     """:func:`eps_params` of each cell from (3, cells) arrays of estimated
     and true parameters: its gaps and sums, in its order, and its squares."""
@@ -355,28 +335,17 @@ def _sweep_block(rs, alphas, draws, n: int) -> list[SweepCell]:
     truth = np.vstack([np.tile(alphas, len(rs)), draws[:2]])
     # generate_synthetic, each cell's series a column
     raw = _convolve(_responses(draws[2], truth, n), inverse)
-    # fit(raw, r, FAGM11K, n) up to the QR, each cell a column of the design
-    design, response = build_design(_convolve(raw, forward), ModelVariant.FAGM11K)
-    scale = _column_scale(design)
-    rows, m, cells = design.shape
-    aug = np.empty((cells, rows, m + 1))
-    aug[:, :, :m] = (design / scale).transpose(2, 0, 1)
-    aug[:, :, m] = response.T
-    # solve_least_squares for all cells at once, as (cells,) arrays
-    R = _householder_r(aug)
-    diag = np.abs([R[k][k] for k in range(m)])
-    singular = diag.min(axis=0) <= REL_RANK_TOL * diag.max(axis=0)
-    base = np.array(_place(np.array(_back_substitute(R, m)) / scale, ModelVariant.FAGM11K))
-    opt = _optimised_rows(*base)
+    # fit(raw, r, FAGM11K, n) and fit(raw, r, FAGMO11K, n) of each cell: one
+    # least-squares solve, whose (a, b, c) the optimised model transforms
+    base, opt, failed = _fit_batch(_convolve(raw, forward), ModelVariant.FAGMO11K)
+    base = np.array(base)
     x0 = raw[0]  # the fitted models' x0
 
     # What fit and optimize_params raise for, or FittedModel rejects, fails a
-    # cell, and so does a recovery error that is not finite.  The truth is
-    # finite, so a non-finite (a, b, c) or (alpha, beta, gamma) gives a
-    # non-finite recovery error; a non-finite x0 is an unscorable observed
-    # value, which fails the cell below.
+    # cell, and so does a recovery error that is not finite; a non-finite x0
+    # is an unscorable observed value, which fails the cell below.
     eps = np.array([_eps_rows(base, truth), _eps_rows(opt, truth)])
-    ok = ~singular & np.isfinite(eps).all(axis=0)
+    ok = ~failed & np.isfinite(eps).all(axis=0)
 
     # predict(model, 0) and evaluate(raw, ...).rmspe for the plain, then the
     # optimised, model of each cell: predict raises for a restored value

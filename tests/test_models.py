@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from greycast import models
 from greycast.accumulation import accumulate, inverse_accumulate
 from greycast.datasets import load_bundled
 from greycast.errors import (
@@ -141,7 +142,74 @@ class TestBuildDesign:
         assert not B[:, 0, 2].any()
 
 
+def batch_systems(rng, rows, lead, size):
+    """Shared leading float columns, and ``size`` systems' last design column
+    and response as (rows, size) arrays: random ones, then one with +inf,
+    -inf and NaN entries, a zero column and a column in the span of the
+    leading ones."""
+    leading = [rng.normal(size=rows).tolist() for _ in range(lead)]
+    column, response = rng.normal(size=(2, rows, size))
+    column[0, 1], column[-1, 2], column[rows // 2, 3] = math.inf, -math.inf, math.nan
+    response[rows - 1, 4] = math.nan
+    column[:, 5] = 0.0
+    column[:, 6] = 2.0 * np.array(leading[0]) - np.array(leading[-1])
+    return leading, column, response
+
+
 class TestSolver:
+    @pytest.mark.parametrize("rows, lead", [(3, 2), (4, 2), (9, 2), (9, 1), (2, 1), (40, 2)])
+    @pytest.mark.parametrize("size", [7, 8])
+    def test_one_system_and_a_batch_give_the_same_bits(self, rows, lead, size):
+        # rows == lead + 1 is a square design; size 8 adds a random system
+        rng = np.random.default_rng(rows * size)
+        leading, column, response = batch_systems(rng, rows, lead, size)
+
+        def bits(R, b):
+            """R's entries for system b of a batch, or of one system (b None)."""
+            flat = np.array([e if np.ndim(e) == 0 else e[b] for col in R for e in col])
+            flat[np.isnan(flat)] = math.nan  # the sign of a NaN depends on operand order
+            return flat.view(np.uint64).tolist()
+
+        with np.errstate(all="ignore"):
+            batch = models._householder(leading, column, response)
+            for b in range(size):
+                one = models._householder(leading, column[:, b], response[:, b])
+                assert bits(batch, b) == bits(one, None), b
+            # a batch of one sums its rows of one element in order too
+            column, response = column[:, :1], response[:, :1]
+            assert bits(models._householder(leading, column, response), 0) == bits(batch, 0)
+
+    def test_agrees_with_lstsq_on_well_conditioned_systems(self):
+        # cond <= 100 after scaling; the QR's backward error is a few eps per
+        # row, so phi is within 1e-12 of lstsq's, relative to its norm
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            rows, m = int(rng.integers(3, 41)), int(rng.integers(2, 4))
+            rows = max(rows, m)
+            B = rng.normal(size=(rows, m)) * 10.0 ** rng.integers(-3, 4, size=m)
+            scaled = B / np.abs(B).max(axis=0)
+            if np.linalg.cond(scaled) > 100:
+                continue
+            Y = rng.normal(size=rows) * 10.0 ** rng.integers(-3, 4)
+            want = np.linalg.lstsq(scaled, Y, rcond=None)[0]
+            got = solve_least_squares(B, Y) * np.abs(B).max(axis=0)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("variant", list(ModelVariant), ids=lambda v: v.value)
+    def test_z_in_the_span_of_the_constant_columns_is_singular(self, variant):
+        # accumulated at r = 1, [3, 2, 2, 2, 2, 2] is 3 + 2(k - 1), so z(k) = 2k,
+        # which (2k - 1)/2 and 1 span; a zero series makes -z a zero column
+        good = [1.0, 1.2, 1.5, 1.9, 2.4, 3.0]
+        fit(good, 1.0, variant)
+        for values in ([3.0, 2.0, 2.0, 2.0, 2.0, 2.0], np.zeros(6)):
+            if values[0] and (variant.zero_slope or variant.zero_intercept):
+                continue  # 2k is not in the span of one of the two columns
+            with pytest.raises(SingularDesign):
+                fit(values, 1.0, variant)
+            xr = np.column_stack([accumulate(values, 1.0), accumulate(good, 1.0)])
+            with np.errstate(all="ignore"):
+                assert models._fit_batch(xr, variant)[2].tolist() == [True, False]
+
     def test_consistent_system_has_tiny_residual(self):
         rng = np.random.default_rng(11)
         B = rng.normal(size=(6, 3))

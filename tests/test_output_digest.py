@@ -56,8 +56,8 @@ def test_reproduce_runs_match_the_recorded_digests(tmp_path, capsys):
 
 
 def test_bundled_searches_match_the_recorded_digests(tmp_path, capsys):
-    # The kernel's bits reach the profile CSVs; the scalar scan tests
-    # compare those values only to a relative 1e-4.
+    # The profile CSVs hold every order's objective, which the scalar scan
+    # tests compare with fit/predict/evaluate's; these digests pin the bytes.
     recorded = recorded_lines()
     tool.digest_searches(tmp_path)
     lines = capsys.readouterr().out.splitlines()

@@ -145,7 +145,7 @@ def test_optimised_rows_equal_optimize_params():
     base = random_params(rng, 10**5)
     base[0] = rng.uniform(-2.2, 2.2, 10**5)
     base[0, : len(edges)] = edges
-    got = sweep._optimised_rows(*base)
+    got = models._optimised_rows(*base)
     for j, (a, b, c) in enumerate(base.T.tolist()):
         try:
             want = optimize_params(BaseParams(a, b, c))
