@@ -66,20 +66,27 @@ def _check_length(n) -> int:
     return n
 
 
-def _weights(r, n: int, forward: bool) -> np.ndarray:
+def _weights(r, n: int, forward: bool, out=None) -> np.ndarray:
     """Forward or inverse lag weights 0..n-1 of order ``r``: an (n,) array
     for a float r, built on Python floats, which round as float64 elements
-    do and never warn, or one column per order of a (B,) array of r."""
+    do and never warn, or one column per order of a (B,) array of r,
+    written to ``out``, an (n, B) array, when given."""
     if isinstance(r, float):
-        w, out = 1.0, [1.0]
+        w, weights = 1.0, [1.0]
         for i in range(1, n):
             w *= (r + i - 1) / i if forward else (i - 1 - r) / i
-            out.append(w)
-        return np.array(out)
+            weights.append(w)
+        return np.array(weights)
     i = np.arange(1.0, n)[:, None]
-    out = np.empty((n, r.size))
+    out = np.empty((n, r.size)) if out is None else out
     out[0] = 1.0
-    out[1:] = (r + i - 1) / i if forward else (i - 1 - r) / i
+    step = out[1:]
+    if forward:  # (r + i - 1) / i
+        np.add(r, i, out=step)
+        step -= 1
+    else:  # (i - 1 - r) / i
+        np.subtract(i - 1, r, out=step)
+    step /= i
     with np.errstate(over="ignore", invalid="ignore"):
         for lag in range(2, n):
             out[lag] *= out[lag - 1]
@@ -96,22 +103,29 @@ def _lags(v: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as np.convolve, which never warns
-def _convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _convolve(x: np.ndarray, w: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Truncated convolution along axis 0 of ``x``, (n,) or (n, B), with
     weights ``w``, (n,) or (n, B); trailing axes broadcast as a batch.
 
-    A batch runs the lag loop.  One series with finite weights sums the
+    A batch runs the lag loop, each lag's products going to ``scratch``
+    and their sum to ``out``, arrays of the result's shape (new ones when
+    not given).  One series with finite weights and no ``out`` sums the
     rows of its :func:`_lags` view times the weights instead: the same
     products in the same order, in three numpy calls.  The padded zeros
     add nothing (a finite weight times 0.0 is +-0.0, and a sum from 0.0 is
     never -0.0); a non-finite weight times 0.0 is NaN.
     """
     n = x.shape[0]
-    if x.ndim == w.ndim == 1 and n <= _DENSE_MAX and math.isfinite(sum(w.tolist())):
-        return np.add.reduce(w[:, None] * _lags(x), axis=0, initial=0.0)
-    out = np.zeros((n,) + np.broadcast_shapes(x.shape[1:], w.shape[1:]))
+    if out is None:
+        if x.ndim == w.ndim == 1 and n <= _DENSE_MAX and math.isfinite(sum(w.tolist())):
+            return np.add.reduce(w[:, None] * _lags(x), axis=0, initial=0.0)
+        out = np.zeros((n,) + np.broadcast_shapes(x.shape[1:], w.shape[1:]))
+    else:
+        out.fill(0.0)
+    scratch = np.empty(out.shape) if scratch is None else scratch
     for lag in range(n):
-        out[lag:] += w[lag] * x[: n - lag]
+        tail = out[lag:]
+        np.add(tail, np.multiply(w[lag], x[: n - lag], out=scratch[: n - lag]), out=tail)
     return out
 
 

@@ -72,12 +72,14 @@ def _check_pair(observed, predicted) -> tuple[np.ndarray, np.ndarray]:
     return observed, predicted
 
 
-def _rms_pct(rel: np.ndarray):
+def _rms_pct(rel: np.ndarray, out=None):
     """Root mean square of relative errors, in percent: a float for a 1-d
     series, a list of floats for the rows of a C-contiguous (B, n) batch,
     whose row sums round as the 1-d sum does.  The mean is spelled as
-    ``np.mean`` computes it, without its Python-level wrapper."""
-    return (np.sqrt(np.add.reduce(rel**2, axis=-1) / rel.shape[-1]) * 100.0).tolist()
+    ``np.mean`` computes it, without its Python-level wrapper.  The squares
+    go to ``out``, ``rel`` itself allowed, when given."""
+    squares = np.square(rel, out=out)
+    return (np.sqrt(np.add.reduce(squares, axis=-1) / rel.shape[-1]) * 100.0).tolist()
 
 
 def evaluate(observed, predicted, nu: int) -> EvaluationReport:

@@ -282,22 +282,24 @@ def build_design(series_r, variant: ModelVariant, nu: int | None = None):
     return design, response
 
 
-def _design_columns(series_r, variant: ModelVariant, nu: int | None = None):
+def _design_columns(series_r, variant: ModelVariant, nu: int | None = None, out=(None, None)):
     """The design's columns, in order, and its response, as :func:`build_design`
     places them.  Only column 0, -z, depends on the series: it is (nu-1, B)
     for an (n, B) batch, and the (2k - 1)/2 and intercept columns are
     (nu-1, 1), the same for every series in it ((nu-1,) each for a 1-d
-    series)."""
+    series).  -z and the response go to the arrays of ``out`` when given."""
     series_r = np.asarray(series_r, dtype=float)
     if series_r.ndim not in (1, 2):
         raise ValueError("expected a 1-d accumulated series or an (n, B) batch of them")
     nu = _train_size(series_r.shape[0], nu)
     xr = series_r[:nu]
     k = np.arange(2.0, nu + 1).reshape((nu - 1,) + (1,) * (xr.ndim - 1))
+    z = np.add(xr[:-1], xr[1:], out=out[0])  # -z = -(0.5 * (xr[:-1] + xr[1:]))
+    np.negative(np.multiply(0.5, z, out=z), out=z)
     # k - 0.5 is (2k - 1)/2 exactly, in one operation
-    every = (-(0.5 * (xr[:-1] + xr[1:])), k - 0.5, np.ones(k.shape))
+    every = (z, k - 0.5, np.ones(k.shape))
     columns = [col for col, i in zip(every, _LAYOUT[variant]) if i is not None]
-    return columns, xr[1:] - xr[:-1]
+    return columns, np.subtract(xr[1:], xr[:-1], out=out[1])
 
 
 def _place(phi, variant: ModelVariant):
@@ -342,7 +344,7 @@ def solve_least_squares(B, Y) -> np.ndarray:
     return np.array(_back_substitute(R, m)) / scale
 
 
-def _householder(leading, column, response) -> list:
+def _householder(leading, column, response, scratch=None) -> list:
     """R of the Householder QR of the columns ``leading + [column, response]``,
     as its columns: ``R[j][k]`` is R_kj for k <= j, and the response's
     entries are those of Q^T times it.
@@ -354,13 +356,18 @@ def _householder(leading, column, response) -> list:
     earlier column's reflector in turn.  Each step rounds a system's entries
     alike alone and in a batch, and sums run row by row, first row first,
     so a system gets the same bits either way.
+
+    With ``scratch``, an array of ``column``'s shape for the products of
+    each step, the reflections overwrite ``column`` and ``response``, which
+    then hold the entries of R; without it, each step makes new arrays.
     """
     reflectors, R = _leading_qr(tuple(map(tuple, leading)))
     batch = column.ndim == 2  # a batch multiplies by each shared v as a (rows, 1) column
     reflectors = [(v[:, None] if batch else v, tau) for v, tau in reflectors]
-    R = [*R, _factor(reflectors, column)]
-    (v, tau), (top, y) = reflectors[-1], _reflect_all(reflectors[:-1], response)
-    return R + [top + [y[0] + -tau * _dot(v, y)]]  # the first entry of H y, as v[0] = 1
+    R = [*R, _factor(reflectors, column, scratch)]
+    top, y, scratch = _reflect_all(reflectors[:-1], response, scratch)
+    v, tau = reflectors[-1]
+    return R + [top + [y[0] + -tau * _dot(v, y, scratch)]]  # the first entry of H y, as v[0] = 1
 
 
 @functools.lru_cache(maxsize=64)
@@ -368,38 +375,42 @@ def _leading_qr(columns):
     """The reflectors, as (v, tau) pairs, and the R columns of the float
     ``columns``, kept for later systems."""
     reflectors = []
-    R = [_factor(reflectors, np.array(x)) for x in columns]
+    R = [_factor(reflectors, np.array(x), None) for x in columns]
     return tuple(reflectors), tuple(R)
 
 
-def _factor(reflectors, x) -> list:
+def _factor(reflectors, x, scratch) -> list:
     """Column ``x``'s entries of R, after the reflectors so far, whose list
-    then takes the column's own."""
-    top, x = _reflect_all(reflectors, x)
-    beta, v, tau = _reflector(x)
+    then takes the column's own; with ``scratch``, ``x`` is overwritten,
+    and the new reflector's v is its tail."""
+    top, x, scratch = _reflect_all(reflectors, x, scratch)
+    beta, v, tau = _reflector(x, scratch)
     reflectors.append((v, tau))
     return top + [beta]
 
 
-def _reflect_all(reflectors, x):
-    """The entries of column ``x`` that each reflector in turn fixes, and
-    what is left of the column below them."""
+def _reflect_all(reflectors, x, scratch):
+    """The entries of column ``x`` that each reflector in turn fixes, what
+    is left of the column below them, and as many rows of ``scratch``."""
     top = []
     for v, tau in reflectors:
-        x = _reflect(v, tau, x)
+        x = _reflect(v, tau, x, scratch)
         top.append(x[0])
         x = x[1:]
-    return top, x
+        if scratch is not None:
+            scratch = scratch[1:]
+    return top, x, scratch
 
 
-def _reflector(x):
+def _reflector(x, scratch):
     """(beta, v, tau) of the Householder reflector H = I - tau v v^T that maps
     the column ``x`` to beta e_1, in LAPACK's form: |beta| = ||x||, with the
     sign that keeps the pivot x[0] - beta free of cancellation, v[0] = 1 and
     every |v[i]| <= 1.  An all-zero column gets pivot 1 and tau = -0.0, the
     identity.  math.sqrt, np.sqrt and copysign are correctly rounded or
-    exact, so one system and a batch agree."""
-    s = _dot(x, x)
+    exact, so one system and a batch agree.  With ``scratch``, an array of
+    x's shape for the products of its norm, v overwrites ``x``."""
+    s = _dot(x, x, scratch)
     if x.ndim == 2:
         beta = -np.copysign(np.sqrt(s), x[0])
         pivot = np.where(x[0] == beta, 1.0, x[0] - beta)
@@ -408,25 +419,26 @@ def _reflector(x):
         beta = -math.copysign(math.sqrt(s), x[0])
         pivot = x[0] - beta or 1.0
         tau = -pivot / (beta or math.inf)
-    v = x / pivot
+    v = np.divide(x, pivot, out=None if scratch is None else x)
     v[0] = 1.0
     return beta, v, tau
 
 
-def _reflect(v, tau, x):
-    """H x for the reflector (v, tau) of :func:`_reflector`: x + v f with
-    f = -tau (v^T x), as LAPACK's dlarf applies it."""
-    out = v * (-tau * _dot(v, x))
-    out += x
-    return out
+def _reflect(v, tau, x, scratch):
+    """H x for the reflector (v, tau) of :func:`_reflector`: (v f) + x with
+    f = -tau (v^T x), as LAPACK's dlarf applies it.  With ``scratch``, an
+    array of x's shape for the products, it is written to ``x``."""
+    vf = np.multiply(v, -tau * _dot(v, x, scratch), out=scratch)
+    return np.add(vf, x, out=vf if scratch is None else x)
 
 
-def _dot(v, x):
-    """v^T x summed row by row, first row first.  ``np.add.reduce`` over
-    axis 0 adds whole rows in turn while a row holds more than one element
-    (as :func:`~greycast.accumulation._convolve` relies on too); rows of
-    one it sums pairwise, and ``np.add.accumulate`` then keeps the order."""
-    terms = v * x
+def _dot(v, x, scratch):
+    """v^T x summed row by row, first row first, its products going to
+    ``scratch`` when given.  ``np.add.reduce`` over axis 0 adds whole rows
+    in turn while a row holds more than one element (as
+    :func:`~greycast.accumulation._convolve` relies on too); rows of one it
+    sums pairwise, and ``np.add.accumulate`` then keeps the order."""
+    terms = np.multiply(v, x, out=scratch)
     if terms[0].size > 1:
         return np.add.reduce(terms, axis=0)
     return np.add.accumulate(terms, axis=0)[-1]
@@ -445,7 +457,7 @@ def _back_substitute(R, m: int) -> list:
     return phi
 
 
-def _fit_batch(series_r, variant: ModelVariant):
+def _fit_batch(series_r, variant: ModelVariant, work=None):
     """:func:`fit` of each column of an (nu, B) batch of accumulated series,
     bit for bit: its (a, b, c), its (alpha, beta, gamma) when the variant is
     optimised (else None), and a mask of the columns for which ``fit`` would
@@ -456,12 +468,14 @@ def _fit_batch(series_r, variant: ModelVariant):
     test and back-substitution, on arrays over the batch, then places
     (a, b, c) and transforms them; the order-independent columns, their
     scales and their reflectors are the same for every column, so they are
-    computed once, on floats.
+    computed once, on floats.  ``work``, three (nu-1, B) arrays, takes -z,
+    the response and the scratch of each step in place of new arrays.
     """
-    (z, *leading), response = _design_columns(series_r, variant)
-    scales = [float(_column_scale(col)[0]) for col in leading] + [_column_scale(z)]
+    z, response, scratch = (None, None, None) if work is None else work
+    (z, *leading), response = _design_columns(series_r, variant, out=(z, response))
+    scales = [float(_column_scale(col)[0]) for col in leading] + [_column_scale(z, scratch)]
     leading = [(col[:, 0] / scale).tolist() for col, scale in zip(leading, scales)]
-    R = _householder(leading, z / scales[-1], response)
+    R = _householder(leading, np.divide(z, scales[-1], out=z), response, scratch)
     m = len(R) - 1
     diag = [np.abs(R[k][k]) for k in range(m)]  # solve_least_squares's rank test; NaN fails
     low, high = functools.reduce(np.minimum, diag), functools.reduce(np.maximum, diag)
@@ -488,10 +502,11 @@ def _finite(params):
     return np.isfinite(np.broadcast_arrays(*params)).all(axis=0)
 
 
-def _column_scale(B) -> np.ndarray:
+def _column_scale(B, scratch=None) -> np.ndarray:
     """Max |entry| of each column of a (rows, m) design, or of each system's
-    column in a (rows, B) batch; a zero column gets scale 1."""
-    scale = np.abs(B).max(axis=0)
+    column in a (rows, B) batch, the |entries| going to ``scratch`` when given;
+    a zero column gets scale 1."""
+    scale = np.abs(B, out=scratch).max(axis=0)
     scale[scale == 0] = 1.0  # so a zero column stays zero and trips the rank test
     return scale
 
@@ -560,18 +575,26 @@ def _response_terms(x0, p, q, g):
     return x0 - qp + qp2 - gp, qp, qp2, gp
 
 
-def _response(x0, p, terms, k):
+def _response(x0, p, terms, k, out=None, scratch=None):
     """Closed-form response at float time indices ``k``, anchored to x0 at k = 1,
     from :func:`_response_terms` of the same x0 and (p, q, g).
 
     :func:`time_response`, :func:`predict`, the sweep and the order-search
     kernel all call both steps.  Parameters, terms and ``k`` broadcast, so
     ``k`` of shape (n, 1) against parameters of shape (B,) gives one column
-    per parameter set.
+    per parameter set.  The response goes to ``out`` and the q/p k term to
+    ``scratch``, arrays of that shape, when given.
     """
     const, qp, qp2, gp = terms
-    out = const * np.exp(-p * (k - 1)) + qp * k - qp2 + gp
-    return np.where(k == 1, x0, out)
+    # const * exp(-p (k - 1)) + qp * k - qp2 + gp, step by step; out=...
+    # gives an array, a 0-d one too, for the steps to write to
+    out = np.multiply(-p, k - 1, out=... if out is None else out)
+    np.multiply(const, np.exp(out, out=out), out=out)
+    out += np.multiply(qp, k, out=scratch)
+    out -= qp2
+    out += gp
+    np.copyto(out, x0, where=k == 1)
+    return out
 
 
 def _check_finite(values: np.ndarray, name) -> None:

@@ -27,6 +27,16 @@ depends on that order alone, never on the chunk it falls in or on the
 grid around it.  The result is the smallest score, ties going to the
 smaller order, as a candidate-by-candidate scalar scan picks it.  A
 grid of at most :data:`SCALAR_GRID` orders goes through that scan itself.
+
+The kernel's memory is fixed: :data:`WORK_BUFFERS` arrays of
+:data:`CHUNK_ELEMENTS` float64s, allocated once per search, which every
+chunk's stages write into in place (numpy ``out=`` arguments to the
+shared steps above).  Arrays made afresh for each chunk were freed at the
+top of the heap, which glibc gives back to the system once more than its
+trim threshold (128 KiB by default) lies free there, so that every chunk
+faulted its pages in again: 10,000-20,000 minor faults per search of a
+48-point series, which took 6-31% of the search's time as faults cost
+the machine less or more.
 """
 
 from __future__ import annotations
@@ -54,8 +64,16 @@ OBJECTIVES = ("rmspe", "rmspepr")
 SCALAR_GRID = 8
 
 #: Elements per (series length x orders) working array of the kernel.
-#: Bounds how many orders one chunk scores, and with it the kernel's memory.
+#: Bounds how many orders one chunk scores, and with it the kernel's memory:
+#: WORK_BUFFERS such arrays of float64, 640 KiB, allocated once per search
+#: and reused by every chunk, so that freeing a chunk's arrays cannot make
+#: the heap shrink and the next chunk fault them in again.
 CHUNK_ELEMENTS = 1 << 14
+
+#: Working arrays of the kernel: the weights, the accumulated then the
+#: fitted series, -z then the restored series, the response then the
+#: relative errors, and a scratch array for each step's products.
+WORK_BUFFERS = 5
 
 
 #: Most orders one grid may hold: 500 times the default grid's 19,901,
@@ -114,23 +132,33 @@ def _grid(cfg: OrderSearchConfig) -> np.ndarray:
     return cfg.r_min + np.arange(_grid_size(cfg)) * cfg.step
 
 
-def _score_chunk(x, r, variant: ModelVariant, nu: int, objective: str) -> np.ndarray:
-    """Objective of every order in ``r`` (B,) on series ``x``; NaN where the fit fails."""
-    n = x.size
-    base, opt, failed = _fit_batch(_convolve(x[:nu, None], _weights(r, nu, forward=True)), variant)
+def _score_chunk(x, r, variant: ModelVariant, nu: int, objective: str, work) -> np.ndarray:
+    """Objective of every order in ``r`` (B,) on series ``x``; NaN where the fit
+    fails.  Every (n, B) array of the chunk is a view of ``work``, which
+    holds WORK_BUFFERS rows of at least n * B elements.  Each view is the
+    start of a row, C-contiguous as a fresh array is, so that numpy runs
+    the loops on it, and rounds the sums, as on a fresh array."""
+    n, size = x.size, r.size
+    weights, series, z, response, scratch = work[:, : n * size].reshape(WORK_BUFFERS, n, size)
+    forward = _weights(r, nu, forward=True, out=weights[:nu])
+    trained = _convolve(x[:nu, None], forward, series[:nu], scratch[:nu])
+    design = (z[: nu - 1], response[: nu - 1], scratch[: nu - 1])
+    base, opt, failed = _fit_batch(trained, variant, design)
     p, q, g = base if opt is None else opt
     if variant.order_locked:
         failed |= r != 1.0
     # time_response -> predict
     kk = np.arange(1, n + 1, dtype=float)[:, None]
-    xr_hat = _response(x[0], p, _response_terms(x[0], p, q, g), kk)
-    restored = _convolve(xr_hat, _weights(r, n, forward=False))
+    xr_hat = _response(x[0], p, _response_terms(x[0], p, q, g), kk, series, scratch)
+    restored = _convolve(xr_hat, _weights(r, n, forward=False, out=weights), z, scratch)
     # evaluate, on C-contiguous rows, which _rms_pct sums as one series;
     # predict fails a non-finite value also where the objective does not look
     scored = nu if objective == "rmspepr" else n
     failed |= ~np.isfinite(restored[scored:]).all(axis=0)
-    rel = (restored[:scored] - x[:scored, None]) / x[:scored, None]
-    out = np.array(_rms_pct(np.ascontiguousarray(rel.T)))
+    rel = response.ravel()[: size * scored].reshape(size, scored)  # free again
+    np.subtract(restored[:scored].T, x[:scored], out=rel)
+    np.divide(rel, x[:scored], out=rel)
+    out = np.array(_rms_pct(rel, out=rel))
     out[failed | ~np.isfinite(out)] = np.nan
     return out
 
@@ -138,13 +166,16 @@ def _score_chunk(x, r, variant: ModelVariant, nu: int, objective: str) -> np.nda
 def _score_grid(values, rs, variant: ModelVariant, nu: int, objective: str) -> np.ndarray:
     """Kernel objective of every order in ``rs``, NaN where the fit fails."""
     rows = max(1, CHUNK_ELEMENTS // values.size)
+    # the chunks' arrays, allocated once: fresh ones for each chunk would be
+    # freed to the top of the heap, which the allocator then gives back to
+    # the system, so that the next chunk faults every page in again
+    work = np.empty((WORK_BUFFERS, values.size * min(rows, rs.size)))
+    scores = np.empty(rs.size)
     with np.errstate(all="ignore"):
-        return np.concatenate(
-            [
-                _score_chunk(values, rs[i : i + rows], variant, nu, objective)
-                for i in range(0, rs.size, rows)
-            ]
-        )
+        for i in range(0, rs.size, rows):
+            chunk = rs[i : i + rows]
+            scores[i : i + rows] = _score_chunk(values, chunk, variant, nu, objective, work)
+    return scores
 
 
 def _scalar_objective(values, r: float, cfg: OrderSearchConfig, nu: int) -> float:

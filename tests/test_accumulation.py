@@ -295,3 +295,33 @@ def test_matrices_hold_the_weights_on_their_lags(matrix, coeffs):
         for i in range(n):
             assert m[i, i:].tobytes() == w[: n - i].tobytes()
             assert not m[i, :i].any()
+
+
+# The in-place forms write to arrays they are given: here [:, :B] views of
+# wider buffers full of junk, whose rows are not contiguous.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 2, 13])
+@pytest.mark.parametrize("forward", [True, False])
+def test_out_forms_give_the_allocating_forms_bits(forward, n):
+    rng = np.random.default_rng(n)
+    # r = 1 gives whole weights; 1e300 overflows to inf, and inf and NaN
+    # give inf and NaN weights, which meet the series' zeros and specials
+    rs = np.concatenate([rng.uniform(0.05, 2.0, 9), [1.0, 1e300, math.inf, math.nan]])
+
+    def view():
+        return np.full((n + 3, rs.size + 5), 7.0)[:n, : rs.size]
+
+    want_w = _weights(rs, n, forward)
+    out = view()
+    w = _weights(rs, n, forward, out=out)
+    assert w is out and (n == 1 or not w.flags.c_contiguous)
+    assert same_bits(w, want_w).all()
+    x = special_series(rng, n, rs.size)
+    for series in (x, x[:, 2:3]):  # a series per order, one series at every order
+        out = view()
+        assert _convolve(series, w, out, view()) is out
+        assert same_bits(out, _convolve(series, want_w)).all()
+    # one series, which without out sums the (n, n) product of finite weights
+    for b in range(rs.size):
+        got = _convolve(x[:, b], w[:, b], np.full(n, 7.0), np.full(n, 7.0))
+        assert same_bits(got, _convolve(x[:, b], want_w[:, b])).all(), rs[b]

@@ -156,6 +156,14 @@ def batch_systems(rng, rows, lead, size):
     return leading, column, response
 
 
+def bits(R, b=None):
+    """The entries of the R of :func:`models._householder` for system b of a
+    batch, or of one system (b None), as uint64 bits."""
+    flat = np.array([e if np.ndim(e) == 0 else e[b] for col in R for e in col])
+    flat[np.isnan(flat)] = math.nan  # the sign of a NaN depends on operand order
+    return flat.view(np.uint64).tolist()
+
+
 class TestSolver:
     @pytest.mark.parametrize("rows, lead", [(3, 2), (4, 2), (9, 2), (9, 1), (2, 1), (40, 2)])
     @pytest.mark.parametrize("size", [7, 8])
@@ -163,13 +171,6 @@ class TestSolver:
         # rows == lead + 1 is a square design; size 8 adds a random system
         rng = np.random.default_rng(rows * size)
         leading, column, response = batch_systems(rng, rows, lead, size)
-
-        def bits(R, b):
-            """R's entries for system b of a batch, or of one system (b None)."""
-            flat = np.array([e if np.ndim(e) == 0 else e[b] for col in R for e in col])
-            flat[np.isnan(flat)] = math.nan  # the sign of a NaN depends on operand order
-            return flat.view(np.uint64).tolist()
-
         with np.errstate(all="ignore"):
             batch = models._householder(leading, column, response)
             for b in range(size):
@@ -178,6 +179,29 @@ class TestSolver:
             # a batch of one sums its rows of one element in order too
             column, response = column[:, :1], response[:, :1]
             assert bits(models._householder(leading, column, response), 0) == bits(batch, 0)
+
+    @pytest.mark.parametrize("rows, lead", [(3, 2), (9, 1), (40, 2)])
+    def test_work_in_place_gives_the_same_bits(self, rows, lead):
+        # given work, the QR reflects column and response in place, here
+        # [:, :B] views of wider buffers full of junk; without it, it
+        # leaves its arguments as they were
+        rng = np.random.default_rng(rows + 100)
+        leading, column, response = batch_systems(rng, rows, lead, 8)
+        given = column.copy(), response.copy()
+        with np.errstate(all="ignore"):
+            for b in [*range(8), None]:  # each system alone, then the batch
+                col, y = (column, response) if b is None else (column[:, b], response[:, b])
+                want = models._householder(leading, col, y)
+                assert col.tobytes() == (given[0] if b is None else given[0][:, b]).tobytes()
+                assert y.tobytes() == (given[1] if b is None else given[1][:, b]).tobytes()
+                if b is None:
+                    col_buf, y_buf, work = np.full((3, rows + 2, 13), 7.0)[:, :rows, :8]
+                else:
+                    col_buf, y_buf, work = np.full((3, rows), 7.0)
+                col_buf[...], y_buf[...] = col, y
+                got = models._householder(leading, col_buf, y_buf, work)
+                for system in range(8) if b is None else [None]:
+                    assert bits(got, system) == bits(want, system), (b, system)
 
     def test_agrees_with_lstsq_on_well_conditioned_systems(self):
         # cond <= 100 after scaling; the QR's backward error is a few eps per

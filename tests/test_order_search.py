@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import functools
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -24,6 +25,11 @@ from greycast.order_search import OrderSearchConfig, OrderSearchResult, search_o
 from greycast.sweep import generate_synthetic
 
 from test_models import out_of_range_raw
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 
 def test_recovers_generating_order():
@@ -367,9 +373,10 @@ def test_kernel_accumulates_each_order_as_accumulate(name, monkeypatch):
     rs = KERNEL_GRID[::7]
     calls = []
 
-    def spy(x, w):
-        out = _convolve(x, w)
-        calls.append((x, out))
+    def spy(x, w, *args, **kwargs):
+        out = _convolve(x, w, *args, **kwargs)
+        # copies: later stages of the kernel write over its working arrays
+        calls.append((x.copy(), out.copy()))
         return out
 
     monkeypatch.setattr(order_search, "_convolve", spy)
@@ -395,3 +402,39 @@ def test_kernel_bits_do_not_depend_on_the_chunk(name, orders, monkeypatch):
             mp.setattr(order_search, "CHUNK_ELEMENTS", orders * values.size)
             got = order_search._score_grid(values, rs, variant, nu, "rmspe")
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), variant
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize(
+    "variant",
+    [ModelVariant.FAGMO11K, ModelVariant.FAGM11, ModelVariant.GM11K],
+    ids=lambda v: v.value,
+)
+def test_the_workspace_carries_nothing_from_one_chunk_to_the_next(variant, objective, monkeypatch):
+    # the largest orders first, whose accumulation overflows and whose fits
+    # fail, then orders that fit (gm11k fits none: r = 1 fails too); chunks
+    # of 7 leave a last chunk of 4
+    values, nu = _kernel_series("overflow")
+    rs = KERNEL_GRID[::-1]
+    assert rs.size % 7 == 4
+    want = reference_score_grid(values, rs, variant, nu, objective)
+    assert np.isnan(want[:7]).all() and np.isnan(want).all() == variant.order_locked
+    monkeypatch.setattr(order_search, "CHUNK_ELEMENTS", 7 * values.size)
+    got = order_search._score_grid(values, rs, variant, nu, objective)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.skipif(
+    resource is None or platform.libc_ver()[0] != "glibc",
+    reason="counts minor page faults through getrusage, against the bound glibc's heap gives",
+)
+def test_a_search_does_not_fault_its_memory_in_chunk_by_chunk():
+    # Arrays allocated afresh for each chunk went back to the system when
+    # freed, so the next chunk faulted every page in again: about 10,000
+    # minor faults per search of this series, against a handful with one
+    # workspace per search
+    values, _ = _series("synthetic48")
+    search_order(values)  # imports, caches and the heap settle
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    search_order(values)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 3000
