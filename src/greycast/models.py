@@ -586,9 +586,9 @@ def _response(x0, p, terms, k, out=None, scratch=None):
     ``scratch``, arrays of that shape, when given.
     """
     const, qp, qp2, gp = terms
-    # const * exp(-p (k - 1)) + qp * k - qp2 + gp, step by step; out=...
-    # gives an array, a 0-d one too, for the steps to write to
-    out = np.multiply(-p, k - 1, out=... if out is None else out)
+    # const * exp(-p (k - 1)) + qp * k - qp2 + gp, step by step, in an
+    # array, a 0-d one for scalars, that the steps can write to
+    out = np.asarray(np.multiply(-p, k - 1, out=out))
     np.multiply(const, np.exp(out, out=out), out=out)
     out += np.multiply(qp, k, out=scratch)
     out -= qp2

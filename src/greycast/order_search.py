@@ -28,10 +28,10 @@ grid around it.  The result is the smallest score, ties going to the
 smaller order, as a candidate-by-candidate scalar scan picks it.  A
 grid of at most :data:`SCALAR_GRID` orders goes through that scan itself.
 
-The kernel's memory is fixed: :data:`WORK_BUFFERS` arrays of
-:data:`CHUNK_ELEMENTS` float64s, allocated once per search, which every
-chunk's stages write into in place (numpy ``out=`` arguments to the
-shared steps above).  Arrays made afresh for each chunk were freed at the
+The kernel's memory is fixed: five arrays of :data:`CHUNK_ELEMENTS`
+float64s, allocated once per search, which every chunk's stages write
+into in place (numpy ``out=`` arguments to the shared steps above).
+Arrays made afresh for each chunk were freed at the
 top of the heap, which glibc gives back to the system once more than its
 trim threshold (128 KiB by default) lies free there, so that every chunk
 faulted its pages in again: 10,000-20,000 minor faults per search of a
@@ -65,15 +65,8 @@ SCALAR_GRID = 8
 
 #: Elements per (series length x orders) working array of the kernel.
 #: Bounds how many orders one chunk scores, and with it the kernel's memory:
-#: WORK_BUFFERS such arrays of float64, 640 KiB, allocated once per search
-#: and reused by every chunk, so that freeing a chunk's arrays cannot make
-#: the heap shrink and the next chunk fault them in again.
+#: five such arrays of float64, 640 KiB, allocated once per search.
 CHUNK_ELEMENTS = 1 << 14
-
-#: Working arrays of the kernel: the weights, the accumulated then the
-#: fitted series, -z then the restored series, the response then the
-#: relative errors, and a scratch array for each step's products.
-WORK_BUFFERS = 5
 
 
 #: Most orders one grid may hold: 500 times the default grid's 19,901,
@@ -135,11 +128,11 @@ def _grid(cfg: OrderSearchConfig) -> np.ndarray:
 def _score_chunk(x, r, variant: ModelVariant, nu: int, objective: str, work) -> np.ndarray:
     """Objective of every order in ``r`` (B,) on series ``x``; NaN where the fit
     fails.  Every (n, B) array of the chunk is a view of ``work``, which
-    holds WORK_BUFFERS rows of at least n * B elements.  Each view is the
+    holds five rows of at least n * B elements.  Each view is the
     start of a row, C-contiguous as a fresh array is, so that numpy runs
     the loops on it, and rounds the sums, as on a fresh array."""
     n, size = x.size, r.size
-    weights, series, z, response, scratch = work[:, : n * size].reshape(WORK_BUFFERS, n, size)
+    weights, series, z, response, scratch = work[:, : n * size].reshape(-1, n, size)
     forward = _weights(r, nu, forward=True, out=weights[:nu])
     trained = _convolve(x[:nu, None], forward, series[:nu], scratch[:nu])
     design = (z[: nu - 1], response[: nu - 1], scratch[: nu - 1])
@@ -166,10 +159,9 @@ def _score_chunk(x, r, variant: ModelVariant, nu: int, objective: str, work) -> 
 def _score_grid(values, rs, variant: ModelVariant, nu: int, objective: str) -> np.ndarray:
     """Kernel objective of every order in ``rs``, NaN where the fit fails."""
     rows = max(1, CHUNK_ELEMENTS // values.size)
-    # the chunks' arrays, allocated once: fresh ones for each chunk would be
-    # freed to the top of the heap, which the allocator then gives back to
-    # the system, so that the next chunk faults every page in again
-    work = np.empty((WORK_BUFFERS, values.size * min(rows, rs.size)))
+    # the weights, the accumulated then the fitted series, -z then the
+    # restored series, the response then the relative errors, and scratch
+    work = np.empty((5, values.size * min(rows, rs.size)))
     scores = np.empty(rs.size)
     with np.errstate(all="ignore"):
         for i in range(0, rs.size, rows):

@@ -20,7 +20,7 @@ from greycast.errors import (
     ZeroObserved,
 )
 from greycast.metrics import evaluate
-from greycast.models import ModelVariant, fit, predict
+from greycast.models import ModelVariant, _fit_batch, fit, predict
 from greycast.order_search import OrderSearchConfig, OrderSearchResult, search_order
 from greycast.sweep import generate_synthetic
 
@@ -422,6 +422,38 @@ def test_the_workspace_carries_nothing_from_one_chunk_to_the_next(variant, objec
     monkeypatch.setattr(order_search, "CHUNK_ELEMENTS", 7 * values.size)
     got = order_search._score_grid(values, rs, variant, nu, objective)
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_every_chunk_works_in_one_workspace_per_search(monkeypatch):
+    # a return to arrays made afresh for each chunk, which the fault count
+    # below catches only while glibc still trims its heap at the default
+    values, nu = _kernel_series("synthetic48")
+    outputs = []
+
+    def owner(a):
+        while a.base is not None:
+            a = a.base
+        return a
+
+    def convolve(*args):
+        outputs.append(_convolve(*args))
+        return outputs[-1]
+
+    def fit_batch(series_r, variant, work):
+        outputs.extend(work)  # the design's working columns
+        return _fit_batch(series_r, variant, work)
+
+    monkeypatch.setattr(order_search, "_convolve", convolve)
+    monkeypatch.setattr(order_search, "_fit_batch", fit_batch)
+    monkeypatch.setattr(order_search, "CHUNK_ELEMENTS", 7 * values.size)
+    for _ in range(2):
+        outputs.clear()
+        order_search._score_grid(values, KERNEL_GRID, ModelVariant.FAGMO11K, nu, "rmspe")
+        # two convolutions and three design columns per chunk
+        assert len(outputs) == 5 * -(-KERNEL_GRID.size // 7) > 10
+        work = owner(outputs[0])
+        assert work.shape == (5, 7 * values.size)
+        assert all(owner(a) is work and np.shares_memory(a, work) for a in outputs)
 
 
 @pytest.mark.skipif(
