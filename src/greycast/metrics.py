@@ -9,6 +9,7 @@ RMSPEPR even though anchored models make it zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,32 @@ def _rms_pct(rel: np.ndarray, out=None):
     return (np.sqrt(np.add.reduce(squares, axis=-1) / rel.shape[-1]) * 100.0).tolist()
 
 
+# errstate as a decorator costs about half what a with block does (numpy 2.4)
+@np.errstate(over="ignore", invalid="ignore")
+def _agreement(observed: np.ndarray, predicted: np.ndarray, gap: np.ndarray) -> float:
+    """Index of agreement, 1 - sum(gap^2) / sum(spread^2).  Where either
+    sum overflows, it is the index of both series divided by the power of
+    two that brings their largest |value| into [0.5, 1): exact scaling,
+    under which the ratio keeps its bits."""
+    sse, total = _agreement_sums(observed, predicted, gap)
+    if not (math.isfinite(sse) and math.isfinite(total)):
+        peak = max(np.abs(observed).max(), np.abs(predicted).max())
+        scale = math.ldexp(1.0, -math.frexp(peak)[1])
+        observed, predicted = observed * scale, predicted * scale
+        sse, total = _agreement_sums(observed, predicted, predicted - observed)
+    # the spread sums to 0 only where predicted == observed == their mean
+    return 1.0 if sse == 0 else float(1.0 - sse / total)
+
+
+def _agreement_sums(observed: np.ndarray, predicted: np.ndarray, gap: np.ndarray):
+    """The index of agreement's sums of squared gaps and of squared spreads
+    about the observed mean, the sums and the mean spelled as np.sum and
+    np.mean compute them, as in _rms_pct."""
+    xbar = float(np.add.reduce(observed) / observed.size)
+    spread = np.abs(predicted - xbar) + np.abs(observed - xbar)
+    return np.add.reduce(gap**2), np.add.reduce(spread**2)
+
+
 def evaluate(observed, predicted, nu: int) -> EvaluationReport:
     """Compute the six criteria for a fitted/observed pairing.
 
@@ -93,24 +120,19 @@ def evaluate(observed, predicted, nu: int) -> EvaluationReport:
     nu = _whole(nu)
     if not 1 <= nu <= n:
         raise ValueError(f"nu must be in [1, {n}], got {nu}")
-    rel = (predicted - observed) / observed
+    gap = predicted - observed
+    rel = gap / observed
     rmspepr = _rms_pct(rel[:nu])
     rmspepo = _rms_pct(rel[nu:]) if n > nu else None
     rmspe = _rms_pct(rel)
-    # sums and means spelled as np.sum and np.mean compute them, as in _rms_pct
-    gap = predicted - observed
-    xbar = float(np.add.reduce(observed) / n)
-    spread = np.abs(predicted - xbar) + np.abs(observed - xbar)
-    sse = np.add.reduce(gap**2)
-    # the spread sums to 0 only where predicted == observed == their mean
-    ia = 1.0 if sse == 0 else float(1.0 - sse / np.add.reduce(spread**2))
+    # means spelled as np.mean computes them, as in _rms_pct
     ae = float(np.add.reduce(gap) / n)
     mae = float(np.add.reduce(np.abs(gap)) / n)
     return EvaluationReport(
         rmspepr=rmspepr,
         rmspepo=rmspepo,
         rmspe=rmspe,
-        ia=ia,
+        ia=_agreement(observed, predicted, gap),
         ae=ae,
         mae=mae,
         nu=nu,

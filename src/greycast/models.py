@@ -457,6 +457,13 @@ def _back_substitute(R, m: int) -> list:
     return phi
 
 
+#: Elements per (series length x batch) working array of the two batch paths,
+#: the order-search kernel and the sweep.  Bounds how many columns one chunk
+#: or block holds, and with it their memory: each path allocates a few such
+#: float64 arrays, 128 KiB each, once per search or sweep.
+CHUNK_ELEMENTS = 1 << 14
+
+
 def _fit_batch(series_r, variant: ModelVariant, work=None):
     """:func:`fit` of each column of an (nu, B) batch of accumulated series,
     bit for bit: its (a, b, c), its (alpha, beta, gamma) when the variant is

@@ -28,10 +28,11 @@ grid around it.  The result is the smallest score, ties going to the
 smaller order, as a candidate-by-candidate scalar scan picks it.  A
 grid of at most :data:`SCALAR_GRID` orders goes through that scan itself.
 
-The kernel's memory is fixed: five arrays of :data:`CHUNK_ELEMENTS`
-float64s, allocated once per search, which every chunk's stages write
-into in place (numpy ``out=`` arguments to the shared steps above).
-Arrays made afresh for each chunk were freed at the
+The kernel's memory is fixed: five arrays of
+:data:`~greycast.models.CHUNK_ELEMENTS` float64s, the element budget
+that also sizes the sweep's blocks, allocated once per search, which
+every chunk's stages write into in place (numpy ``out=`` arguments to
+the shared steps above).  Arrays made afresh for each chunk were freed at the
 top of the heap, which glibc gives back to the system once more than its
 trim threshold (128 KiB by default) lies free there, so that every chunk
 faulted its pages in again: 10,000-20,000 minor faults per search of a
@@ -50,7 +51,8 @@ from .accumulation import _convolve, _weights
 from .errors import GreycastError, NoFeasibleOrder
 from .metrics import _check_pair, _rms_pct, evaluate
 from .models import (
-    ModelVariant, _fit_batch, _response, _response_terms, _training_window, fit, predict,
+    CHUNK_ELEMENTS, ModelVariant, _fit_batch, _response, _response_terms, _training_window, fit,
+    predict,
 )
 
 __all__ = ["OrderSearchConfig", "OrderSearchResult", "search_order"]
@@ -62,12 +64,6 @@ OBJECTIVES = ("rmspe", "rmspepr")
 #: tracer of the public functions (perfbench's) sees every order's calls.
 #: The kernel is faster from 2 orders on; such a grid costs about 1 ms.
 SCALAR_GRID = 8
-
-#: Elements per (series length x orders) working array of the kernel.
-#: Bounds how many orders one chunk scores, and with it the kernel's memory:
-#: five such arrays of float64, 640 KiB, allocated once per search.
-CHUNK_ELEMENTS = 1 << 14
-
 
 #: Most orders one grid may hold: 500 times the default grid's 19,901,
 #: about 160 MB for the orders and their scores.

@@ -8,10 +8,17 @@ the restored values.  The optimised transform removes the trapezoid
 discretisation mismatch, so its recovery error sits at roundoff level
 while the plain model's error grows with |alpha|.
 
-The sweep runs the grid in blocks of whole r rows, about ``_BLOCK_CELLS``
-cells a block, and every step of a cell runs once over the whole block,
-in a batched form that gives the same bits as the scalar call: the
-accumulation weights are built once per r and repeated over its row, and
+The sweep runs the grid in blocks of whole r rows, as many rows as keep
+a block's (n, cells) arrays within :data:`~greycast.models.CHUNK_ELEMENTS`
+elements, the element budget of the order-search kernel's chunks, and at
+least one row.  Every step of a cell runs once over the whole block, in
+a batched form that gives the same bits as the scalar call, and writes
+into one workspace of seven such arrays, allocated once per sweep,
+through the shared helpers' ``out``/``scratch`` arguments; why arrays
+made afresh for each block cost more is told in
+:mod:`greycast.order_search`'s docstring (glibc trims the heap they were
+freed at, so the next block faults its pages in again).  The
+accumulation weights are built once per r and copied across its row, and
 each (inverse) accumulation is one call of the shared convolution on the
 block's series, one per column (it adds a batch as it adds one series);
 the response and the RMSPE are array expressions; the least-squares fit
@@ -26,9 +33,10 @@ parameters come from the plain model's (a, b, c), exactly as
 :func:`~greycast.models.fit` computes them for the optimised variant.
 The CSV bytes are therefore those of a cell built with
 ``generate_synthetic``, ``fit``, ``predict`` and ``evaluate``, whatever
-the block size.  Each cell is a tuple (:class:`SweepCell`); the cells of
-a row share one r float object and every row shares the grid's alpha
-objects, so :func:`write_sweep_csv` formats each of them once.
+the block size.  Each cell is a tuple (:class:`SweepCell`), built by
+tuple's C constructor; the cells of a row share one r float object and
+every row shares the grid's alpha objects, so :func:`write_sweep_csv`
+formats each of them once.
 
 Determinism: cell (r_index, alpha_index) draws beta, gamma and x0, in
 that order, from PCG64 seeded with ``SeedSequence([seed, r_index,
@@ -44,6 +52,7 @@ never on execution order, and reruns are bit-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -57,7 +66,7 @@ from .errors import NonFiniteResult
 from .metrics import _rms_pct, _unscorable
 # fit is not called here, but perfbench's tracer test looks it up as
 # greycast.sweep.fit.
-from .models import ModelVariant, _fit_batch, _response, _response_terms, fit
+from .models import CHUNK_ELEMENTS, ModelVariant, _fit_batch, _response, _response_terms, fit
 
 __all__ = [
     "SweepConfig",
@@ -89,10 +98,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
 _MASK32 = 0xFFFFFFFF
-# Cells drawn and fitted together, in whole r rows and at least one row:
-# enough to spread numpy's cost per call, few enough that the block's
-# temporaries keep a sweep's peak memory near that of one row at a time.
-_BLOCK_CELLS = 512
 _SQUARE_OVERFLOW = 2.0**512
 
 
@@ -196,6 +201,11 @@ class SweepCell(NamedTuple):
     status: str  # "ok" | "fit_failed"
 
 
+# A SweepCell from an iterable of its seven fields, built by tuple's own C
+# constructor instead of the Python __new__ that NamedTuple generates.
+_new_cell = functools.partial(tuple.__new__, SweepCell)
+
+
 def run_sweep(config: SweepConfig) -> list[SweepCell]:
     """Evaluate every (r, alpha) cell; failures are recorded, not fatal.
 
@@ -210,28 +220,34 @@ def run_sweep(config: SweepConfig) -> list[SweepCell]:
     """
     rs = [float(r) for r in config.r_grid]
     alphas = [float(alpha) for alpha in config.alpha_grid]
-    block = _block_rows(len(alphas))
-    blocks = zip(range(0, len(rs), block), _draws(config.seed, len(rs), len(alphas)))
+    n = config.n_points
+    block = _block_rows(n, len(alphas))
+    blocks = zip(range(0, len(rs), block), _draws(config.seed, len(rs), len(alphas), n))
+    # the weights of each kind, the raw series, the response then the
+    # accumulated series then the relative errors, -z then the restored
+    # series, the fit's response, and scratch
+    work = np.empty((7, n * len(alphas) * min(block, len(rs))))
     cells: list[SweepCell] = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start, draws in blocks:
-            cells += _sweep_block(rs[start : start + block], alphas, draws, config.n_points)
+            cells += _sweep_block(rs[start : start + block], alphas, draws, n, work)
     return cells
 
 
-def _block_rows(cols: int) -> int:
-    """r rows per block of a grid with ``cols`` alphas: about
-    ``_BLOCK_CELLS`` cells, and at least one row."""
-    return max(1, _BLOCK_CELLS // cols)
+def _block_rows(n: int, cols: int) -> int:
+    """r rows per block of a grid with ``cols`` alphas and series of ``n``
+    points: the whole rows whose (n, cells) arrays hold at most
+    CHUNK_ELEMENTS elements, and at least one row."""
+    return max(1, CHUNK_ELEMENTS // (n * cols))
 
 
-def _draws(seed: int, rows: int, cols: int) -> Iterator[np.ndarray]:
+def _draws(seed: int, rows: int, cols: int, n: int) -> Iterator[np.ndarray]:
     """The draws of blocks of whole r rows in turn, :func:`_block_rows` rows
-    a block, each a (3, cells) array in grid order: the column of cell
-    (i, j) holds what ``default_rng([seed, i, j])`` draws by
-    ``uniform(*BETA_RANGE)``, ``uniform(*GAMMA_RANGE)`` and
+    a block for series of ``n`` points, each a (3, cells) array in grid
+    order: the column of cell (i, j) holds what ``default_rng([seed, i, j])``
+    draws by ``uniform(*BETA_RANGE)``, ``uniform(*GAMMA_RANGE)`` and
     ``uniform(*X0_RANGE)``, bit for bit, for i and j below 2**32."""
-    block = _block_rows(cols)
+    block = _block_rows(n, cols)
     for start in range(0, rows, block):
         i, j = np.indices((min(block, rows - start), cols), dtype=np.uint32).reshape(2, -1)
         yield np.array(_draw_cells(seed, i + start, j))
@@ -310,67 +326,81 @@ def _lcg_step(hi, lo, inc):
     return hi + inc[0] + (lo < inc[1]), lo
 
 
-def _responses(x0, params, n: int) -> np.ndarray:
-    """(n, len(x0)) array of responses at k = 1..n, one column per x0 and
-    column (p, q, g) of a (3, len(x0)) parameter array."""
+def _responses(x0, params, k, out, scratch) -> np.ndarray:
+    """Responses at the (n, 1) time indices ``k`` in ``out``, an (n, cells)
+    array, one column per x0 and column (p, q, g) of a (3, cells) parameter
+    array; ``scratch`` is an array of out's shape."""
     p, q, g = params
-    k = np.arange(1.0, n + 1)[:, None]
-    return _response(x0, p, _response_terms(x0, p, q, g), k)
+    return _response(x0, p, _response_terms(x0, p, q, g), k, out, scratch)
 
 
-def _eps_rows(estimated, truth) -> np.ndarray:
+def _eps_rows(estimated, truth) -> list[float]:
     """:func:`eps_params` of each cell from (3, cells) arrays of estimated
     and true parameters: its gaps and sums, in its order, and its squares."""
-    squares = np.reshape(_squares(estimated - truth), estimated.shape)
-    return squares[0] + squares[1] + squares[2]
+    squares = _squares(estimated - truth)
+    cells = len(squares) // 3
+    x, y, z = squares[:cells], squares[cells : 2 * cells], squares[2 * cells :]
+    return [a + b + c for a, b, c in zip(x, y, z)]
 
 
-def _sweep_block(rs, alphas, draws, n: int) -> list[SweepCell]:
+def _sweep_block(rs, alphas, draws, n: int, work) -> list[SweepCell]:
     """The cells of a block of whole r rows, in grid order; ``draws`` holds
-    the block's beta, gamma and x0 arrays, one column per cell."""
-    cols = len(alphas)
-    # the weights of each kind, one column per cell, built once per r
-    forward, inverse = (np.repeat(_weights(np.array(rs), n, way), cols, axis=1)
-                        for way in (True, False))
-    truth = np.vstack([np.tile(alphas, len(rs)), draws[:2]])
+    the block's beta, gamma and x0 arrays, one column per cell.  Every
+    (n, cells) array of the block is a view of ``work``, which holds seven
+    rows of at least n * cells elements.  Each view is the start of a row,
+    C-contiguous as a fresh array is, so that numpy runs the loops on it,
+    and rounds the sums, as on a fresh array."""
+    rows, cols = len(rs), len(alphas)
+    size = rows * cols
+    forward, inverse, raw, series, z, response, scratch = work[:, : n * size].reshape(7, n, size)
+    # the weights of each kind, built once per r and copied across its row
+    orders = np.array(rs)
+    for way, weights in ((True, forward), (False, inverse)):
+        column = _weights(orders, n, way, out=scratch.ravel()[: n * rows].reshape(n, rows))
+        np.copyto(weights.reshape(n, rows, cols), column[:, :, None])
+    truth = np.vstack([np.tile(alphas, rows), draws[:2]])
+    k = np.arange(1.0, n + 1)[:, None]
     # generate_synthetic, each cell's series a column
-    raw = _convolve(_responses(draws[2], truth, n), inverse)
+    _convolve(_responses(draws[2], truth, k, series, scratch), inverse, raw, scratch)
     # fit(raw, r, FAGM11K, n) and fit(raw, r, FAGMO11K, n) of each cell: one
     # least-squares solve, whose (a, b, c) the optimised model transforms
-    base, opt, failed = _fit_batch(_convolve(raw, forward), ModelVariant.FAGMO11K)
+    trained = _convolve(raw, forward, series, scratch)
+    design = (z[: n - 1], response[: n - 1], scratch[: n - 1])
+    base, opt, failed = _fit_batch(trained, ModelVariant.FAGMO11K, design)
     base = np.array(base)
     x0 = raw[0]  # the fitted models' x0
 
     # What fit and optimize_params raise for, or FittedModel rejects, fails a
     # cell, and so does a recovery error that is not finite; a non-finite x0
     # is an unscorable observed value, which fails the cell below.
-    eps = np.array([_eps_rows(base, truth), _eps_rows(opt, truth)])
+    eps = [_eps_rows(base, truth), _eps_rows(opt, truth)]
     ok = ~failed & np.isfinite(eps).all(axis=0)
 
     # predict(model, 0) and evaluate(raw, ...).rmspe for the plain, then the
     # optimised, model of each cell: predict raises for a restored value
     # that is not finite, and evaluate for an observed value that gives no
-    # relative error.  Each column of these arrays is computed on its own,
-    # so the columns of cells failed above change nothing.  _rms_pct sums
-    # the rows of a C-contiguous array as evaluate sums one series.
-    restored = _convolve(
-        _responses(np.tile(x0, 2), np.hstack([base, opt]), n), np.tile(inverse, 2)
-    )
-    observed = np.tile(raw, 2)
-    rel = np.ascontiguousarray(((restored - observed) / observed).T)
-    rmspe = np.reshape(_rms_pct(rel), (2, -1))
-    ok &= np.isfinite(restored).all(axis=0).reshape(2, -1).all(axis=0)
+    # relative error.  Each column is computed on its own, so the columns
+    # of cells failed above change nothing.  The relative errors go to
+    # C-contiguous rows, which _rms_pct sums as evaluate sums one series.
+    rmspe = []
+    for params in (base, opt):
+        restored = _convolve(_responses(x0, params, k, series, scratch), inverse, z, scratch)
+        ok &= np.isfinite(restored).all(axis=0)
+        rel = series.reshape(size, n)  # free again
+        np.subtract(restored.T, raw.T, out=rel)
+        np.divide(rel, raw.T, out=rel)
+        rmspe.append(_rms_pct(rel, out=rel))
     ok &= ~_unscorable(raw).any(axis=0)
 
     # A failed cell's four values are the one math.nan object, so that equal
     # sweeps compare equal: tuples compare fields by identity first.
-    values = np.vstack([eps, rmspe]).tolist()
+    values = [*eps, *rmspe]
     for i in np.flatnonzero(~ok).tolist():
         for column in values:
             column[i] = math.nan
     r_col = [r for r in rs for _ in range(cols)]
     status = [_STATUS[good] for good in ok.tolist()]
-    return list(map(SweepCell, r_col, alphas * len(rs), *values, status))
+    return list(map(_new_cell, zip(r_col, alphas * rows, *values, status)))
 
 
 def write_sweep_csv(cells, path) -> None:

@@ -128,6 +128,28 @@ def test_scale_equivariance(scale):
     assert scaled.mae == pytest.approx(base.mae * scale, rel=1e-12)
 
 
+BUMPY = np.array([1.0, 1.2, 0.9, 1.3, 1.1, 1.4])
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_series_agree_as_the_series_scaled_down_exactly():
+    # the squared gaps overflow at this size; an exact power-of-two scale
+    # leaves the index of agreement's ratio unchanged, bit for bit
+    huge = BUMPY * 2.0**1000
+    with np.errstate(over="ignore"):
+        assert np.add.reduce((0.5 * huge) ** 2) == math.inf
+    want = evaluate(BUMPY, 1.5 * BUMPY, 6).ia
+    assert evaluate(huge, 1.5 * huge, 6).ia.hex() == want.hex()
+
+
+@pytest.mark.filterwarnings("error")
+def test_finite_huge_series_give_a_finite_agreement():
+    observed = BUMPY * 1e307
+    report = evaluate(observed, 1.5 * observed, 6)
+    assert 0.0 < report.ia < 1.0
+    assert report.ae == pytest.approx(5.75e306, rel=1e-12)
+
+
 def test_agreement_index_bounds():
     rng = np.random.default_rng(31)
     for _ in range(30):

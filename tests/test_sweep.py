@@ -10,7 +10,9 @@ from greycast import metrics, models, sweep
 from greycast.accumulation import _convolve, _weights, accumulate, forward_coeffs, inverse_coeffs
 from greycast.errors import DevelopmentCoefficientOutOfRange, GreycastError, NonFiniteResult
 from greycast.metrics import evaluate
-from greycast.models import A_FLOOR, BaseParams, ModelVariant, fit, optimize_params, predict
+from greycast.models import (
+    A_FLOOR, BaseParams, ModelVariant, _fit_batch, fit, optimize_params, predict,
+)
 from greycast.sweep import (
     SWEEP_CSV_HEADER,
     SweepCell,
@@ -234,30 +236,83 @@ class TestRunSweep:
         assert summary["max_eps_fagmo"] <= summary["max_eps_fagm"]
 
 
-def sweep_grid(rows, alphas):
+def sweep_grid(rows, alphas, n_points=11, seed=9):
     """``rows`` orders over R_BOUNDS against the given alphas."""
     return SweepConfig(r_grid=tuple(np.linspace(*sweep.R_BOUNDS, rows)), alpha_grid=alphas,
-                       n_points=11, seed=9)
+                       n_points=n_points, seed=seed)
 
 
-# Block sizes of 1 cell, 7 cells, one row and the default, on grids with more
-# alphas than 7 (and than the default) hold, so each block is one row; with
-# 3 alphas, so 7-cell blocks hold 2 rows and the last holds 1; whose default
-# blocks hold 5 of its 7 rows; and of one cell.
+# Its first row fails at alpha 40 where the rows after it fit, and alphas
+# -800 and -40 fail in every row, -800 with non-finite values.
+FAILED_FIRST = SweepConfig(r_grid=tuple(np.linspace(*sweep.R_BOUNDS, 7)[:6]),
+                           alpha_grid=(-800.0, -40.0, -1.5, 0.7, 40.0), n_points=11, seed=42)
+
+
+# Element budgets of 1 cell, 7 cells and one row, and the default, on grids:
+# of 40-point series whose default blocks hold 4 of its 7 rows, and with more
+# alphas than 7 cells hold, so each smaller block is one row; with 3 alphas,
+# so 7-cell blocks hold 2 rows and the last holds 1; wider than the default
+# budget, so each default block is one row; of one cell; and FAILED_FIRST,
+# whose later blocks reuse for cells that fit the workspace that the first
+# block's failed cells left.
 @pytest.mark.parametrize(
     "config",
-    [sweep_grid(7, tuple(np.linspace(-1.99, 1.99, 100))),
+    [sweep_grid(7, tuple(np.linspace(-1.99, 1.99, 100)), n_points=40),
      sweep_grid(5, (-1.5, 0.4, 1.9)),
-     sweep_grid(2, tuple(np.linspace(0.02, 1.99, sweep._BLOCK_CELLS + 8))),
-     sweep_grid(1, (0.7,))],
-    ids=["7x100", "5x3", "2xwide", "1x1"],
+     sweep_grid(2, tuple(np.linspace(0.02, 1.99, sweep.CHUNK_ELEMENTS // 11 + 8))),
+     sweep_grid(1, (0.7,)),
+     FAILED_FIRST],
+    ids=["7x100", "5x3", "2xwide", "1x1", "failed_first"],
 )
 def test_block_size_does_not_change_the_cells(monkeypatch, config):
-    assert 7 % sweep._block_rows(100) and sweep._block_rows(100) > 1
+    assert 7 % sweep._block_rows(40, 100) and sweep._block_rows(40, 100) > 1
+    assert sweep._block_rows(11, sweep.CHUNK_ELEMENTS // 11 + 8) == 1
+    n = config.n_points
     want = repr(run_sweep(config))
     for cells in (1, 7, len(config.alpha_grid)):
-        monkeypatch.setattr(sweep, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", cells * n)
         assert repr(run_sweep(config)) == want, cells
+
+
+def test_later_blocks_fit_where_the_first_block_failed(monkeypatch):
+    status = [c.status for c in two_fit_sweep(FAILED_FIRST)]
+    rows = np.reshape(status, (6, 5)) == "ok"
+    assert not rows[0, 4] and rows[1:, 4].all() and rows[:, 2:4].all() and not rows[:, :2].any()
+    monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", 5 * 11)  # one row a block
+    assert repr(run_sweep(FAILED_FIRST)) == repr(two_fit_sweep(FAILED_FIRST))
+
+
+def test_every_block_works_in_one_workspace_per_sweep(monkeypatch):
+    # a return to arrays made afresh for each block; blocks of 2 of the 5
+    # rows leave a last block of one row
+    config = sweep_grid(5, (-1.5, 0.4, 1.9))
+    outputs, owners = [], []
+
+    def owner(a):
+        while a.base is not None:
+            a = a.base
+        return a
+
+    def convolve(*args):
+        outputs.append(_convolve(*args))
+        return outputs[-1]
+
+    def fit_batch(series_r, variant, work):
+        outputs.extend(work)  # the design's working columns
+        return _fit_batch(series_r, variant, work)
+
+    monkeypatch.setattr(sweep, "_convolve", convolve)
+    monkeypatch.setattr(sweep, "_fit_batch", fit_batch)
+    monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", 2 * 3 * 11)
+    for _ in range(2):
+        outputs.clear()
+        run_sweep(config)
+        # four convolutions and three design columns per block
+        assert len(outputs) == 7 * 3
+        owners.append(owner(outputs[0]))
+        assert owners[-1].shape == (7, 2 * 3 * 11)
+        assert all(owner(a) is owners[-1] and np.shares_memory(a, owners[-1]) for a in outputs)
+    assert owners[0] is not owners[1]
 
 
 def reference_csv(cells) -> bytes:
@@ -412,14 +467,18 @@ def cell_draws(seed, i, j):
     [0, 1, 2**32 - 1, 2**32, 2**64 - 1,
      int(np.random.SeedSequence([1, 2, 0]).generate_state(1, np.uint64)[0])],
 )
-def test_vectorised_draws_equal_default_rng(seed):
+def test_vectorised_draws_equal_default_rng(seed, monkeypatch):
     rng = np.random.default_rng(seed % 997)
-    # rows drawn in blocks of several rows, the last short; then one row per block
-    wide = sweep._BLOCK_CELLS + 1
-    assert sweep._block_rows(100) > 1 and 37 % sweep._block_rows(100)
-    assert sweep._block_rows(wide) == 1
-    for rows, cols in [(37, 100), (3, wide)]:
-        draws = np.hstack(list(sweep._draws(seed, rows, cols))).reshape(3, rows, cols)
+    # rows drawn in blocks of several rows, the last short; one row per block
+    # on a grid wider than the budget; and blocks of one cell, one row each
+    default, wide = sweep.CHUNK_ELEMENTS, sweep.CHUNK_ELEMENTS // 11 + 1
+    assert sweep._block_rows(11, 100) > 1 and 37 % sweep._block_rows(11, 100)
+    assert sweep._block_rows(11, wide) == 1
+    for budget, rows, cols in [(default, 37, 100), (default, 3, wide), (11, 5, 1)]:
+        monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", budget)
+        draws = list(sweep._draws(seed, rows, cols, 11))
+        assert len(draws) == -(-rows // max(1, budget // (11 * cols)))
+        draws = np.hstack(draws).reshape(3, rows, cols)
         draws = draws.transpose(1, 0, 2)
         sample = [(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)]
         sample += zip(rng.integers(rows, size=24).tolist(), rng.integers(cols, size=24).tolist())
